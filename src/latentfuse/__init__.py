@@ -21,4 +21,4 @@ from .fusion import (ClassifierConfig, FusedLatent, Metrics, SequenceSample,
 from .baseline import BaselineSystem, ModalityEncoder, pretrain_encoder, splice
 from .costmodel import (CostReport, PipelineCost, layer_macs, memory_traffic,
                         pipeline_cost, scaling_table)
-from .pipeline import PERMUTATIONS, PipelineConfig, UnifiedSystem, run_system
+from .pipeline import PERMUTATIONS, PipelineConfig, UnifiedSystem

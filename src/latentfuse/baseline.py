@@ -24,7 +24,7 @@ from . import nnkernel as nn
 from .errors import NumericError, UsageError
 from .fusion import ClassifierHead
 from .spectral import IMAGE_SIZE, SpectralImage
-from .vqvae import GRID
+from .vqvae import GRID, load_into, read_tensors, write_tensors
 
 log = logging.getLogger(__name__)
 
@@ -68,8 +68,23 @@ class SplicedExtractor:
 
 @dataclass
 class BaselineSystem:
+    """One spliced extractor per modality."""
+
     encoders: dict[str, SplicedExtractor]
-    head: ClassifierHead
+    head: ClassifierHead | None
+
+    def encode(self, modality: str, image: SpectralImage) -> np.ndarray:
+        """The modality's own extractor applied to one image."""
+        if modality not in self.encoders:
+            raise UsageError(f"baseline system has no encoder for {modality!r}")
+        return extract(self.encoders[modality], image)
+
+    def parameter_stores(self, modalities: tuple[str, ...]) -> list[nn.ParamStore]:
+        """One store per modality, each belonging to its own extractor."""
+        missing = [m for m in modalities if m not in self.encoders]
+        if missing:
+            raise UsageError(f"baseline system missing encoders for {missing}")
+        return [self.encoders[m].store for m in modalities]
 
 
 @dataclass
@@ -194,29 +209,16 @@ def extract(extractor: SplicedExtractor, image: SpectralImage) -> np.ndarray:
 
 def save_encoder(encoder: ModalityEncoder | SplicedExtractor, path: str) -> None:
     """Write the encoder's tensors in the shared weight-file format."""
-    from .vqvae import write_tensors
     write_tensors(path, dict(encoder.store.values))
 
 
 def load_extractor(path: str, modality: str, embed_dim: int = 16) -> SplicedExtractor:
-    """Load a pretrained modality encoder and return its spliced view."""
-    from .vqvae import read_tensors
-    tensors = read_tensors(path)
-    encoder = build_encoder(modality, embed_dim, seed=0)
-    for name in encoder.store.names():
-        if name not in tensors:
-            if ".tail." in name:
-                continue  # tail is optional in spliced files
-            raise UsageError(f"{path}: missing tensor {name!r}")
-        encoder.store.values[name][...] = tensors[name]
-    return splice(encoder)
+    """Load a pretrained modality encoder and return its spliced view.
 
-
-def run_baseline(system: BaselineSystem, stream, permutation: int, cfg=None):
-    """Evaluate the baseline system on a prepared stream.
-
-    Deferred imports keep this module independent of the pipeline wiring
-    for callers that only need encoders.
+    The pretraining tail is optional, so a full checkpoint and a spliced
+    file load alike.
     """
-    from . import pipeline
-    return pipeline.run_system(system, stream, permutation, cfg)
+    encoder = build_encoder(modality, embed_dim, seed=0)
+    tail = [name for name in encoder.store.names() if ".tail." in name]
+    load_into(encoder.store, read_tensors(path), path, optional=tail)
+    return splice(encoder)

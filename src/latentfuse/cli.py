@@ -32,8 +32,8 @@ from . import baseline as baseline_mod
 from . import costmodel, pipeline
 from .errors import (BadMagicError, DataError, NumericError,
                      TruncatedPayloadError, UsageError, VersionError)
-from .fusion import (ClassifierConfig, FusedLatent, SequenceSample, evaluate,
-                     load_head, save_head, train_classifier,
+from .fusion import (ClassifierConfig, SequenceSample, evaluate, fuse,
+                     group_sequences, load_head, save_head, train_classifier,
                      write_training_curve)
 from .ingest import (Window, load_labels, load_stream, prepare_stream,
                      window_stream)
@@ -243,6 +243,8 @@ def read_latents(path: str) -> tuple[list[LatentEntry], int, int]:
         quantized = np.frombuffer(data, dtype="<f4", count=embed_dim * cells,
                                   offset=offset).reshape(embed_dim, grid, grid).copy()
         offset += 4 * embed_dim * cells
+        if mod_id >= len(names):
+            raise DataError(f"{path}: entry {i} references modality id {mod_id}")
         entries.append(LatentEntry(names[mod_id], start, int(label), indices,
                                    quantized))
     return entries, embed_dim, grid
@@ -260,17 +262,10 @@ def sequences_from_latents(entries: list[LatentEntry], modalities: tuple[str, ..
     common = sorted(set.intersection(*(set(by_mod[m]) for m in modalities)))
     if not common:
         raise DataError("no start indices shared by all requested modalities")
-    steps = []
-    labels = []
-    for start in common:
-        latents = {m: by_mod[m][start].quantized for m in modalities}
-        steps.append(FusedLatent(np.concatenate([latents[m] for m in modalities]),
-                                 tuple(modalities)))
-        labels.append(by_mod[modalities[0]][start].label)
-    samples = []
-    for lo in range(0, len(steps) - seq_len + 1, seq_len):
-        samples.append(SequenceSample(steps[lo:lo + seq_len],
-                                      labels[lo + seq_len - 1]))
+    steps = [fuse({m: by_mod[m][start].quantized for m in modalities}, modalities)
+             for start in common]
+    labels = [by_mod[modalities[0]][start].label for start in common]
+    samples = group_sequences(steps, labels, seq_len)
     if not samples:
         raise DataError(f"only {len(steps)} aligned steps; need at least "
                         f"seq_len={seq_len}")

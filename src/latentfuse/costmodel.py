@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 from . import nnkernel as nn
 from .baseline import build_feature_stack
 from .errors import UsageError
-from .fusion import HEAD_CHANNELS, HEAD_HIDDEN
+from .fusion import HEAD_HIDDEN, head_layers
 from .spectral import IMAGE_SIZE, SpectralConfig
 from .vqvae import GRID, build_encoder
 
@@ -216,20 +216,10 @@ def head_cost(in_channels: int, seq_len: int = 1, grid: int = GRID,
               hidden: int = HEAD_HIDDEN,
               energy_per_mac: float = ENERGY_PER_MAC) -> CostReport:
     """Classifier head cost for one sequence of seq_len fused latents."""
-    conv = [
-        nn.conv2d("head.c1", in_channels, HEAD_CHANNELS, 3, 2, 1), nn.relu(),
-        nn.conv2d("head.c2", HEAD_CHANNELS, HEAD_CHANNELS, 3, 2, 1), nn.relu(),
-    ]
+    conv, cell, out = head_layers(in_channels, grid, hidden)
     report = stack_cost(conv, (in_channels, grid, grid), batch=seq_len,
                         energy_per_mac=energy_per_mac)
-    feat_shape = nn.stack_out_shape(conv, (in_channels, grid, grid))
-    x_dim = _shape_elems(feat_shape)
-    cell = nn.recurrent_cell("head.cell", x_dim, hidden)
-    fetch, write = memory_traffic(cell, (x_dim,), batch=seq_len)
-    report.rows.append(CostRow("head.cell", "recurrent_cell",
-                               layer_macs(cell, (x_dim,)) * seq_len,
-                               layer_params(cell), fetch, write))
-    out = nn.dense("head.out", hidden, 1)
+    report.rows.append(layer_cost(cell, (cell.in_features,), batch=seq_len))
     report.rows.append(layer_cost(out, (hidden,), batch=1))
     return report
 

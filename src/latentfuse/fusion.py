@@ -22,8 +22,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import nnkernel as nn
-from .errors import NumericError, UsageError
-from .vqvae import GRID, LatentCode
+from .errors import DataError, NumericError, UsageError
+from .vqvae import GRID, LatentCode, load_into, read_tensors, write_tensors
 
 log = logging.getLogger(__name__)
 
@@ -97,6 +97,18 @@ def fuse(latents: Mapping[str, LatentCode | np.ndarray],
     return FusedLatent(np.concatenate(blocks, axis=0), tuple(order))
 
 
+def group_sequences(steps: Sequence[FusedLatent], labels: Sequence[int],
+                    seq_len: int) -> list[SequenceSample]:
+    """Consecutive non-overlapping chunks of seq_len steps; a short tail is dropped.
+
+    Each chunk takes the label of its final step (causal labeling).
+    """
+    if seq_len < 1:
+        raise UsageError(f"seq_len must be >= 1, got {seq_len}")
+    return [SequenceSample(list(steps[lo:lo + seq_len]), labels[lo + seq_len - 1])
+            for lo in range(0, len(steps) - seq_len + 1, seq_len)]
+
+
 def unfuse(fused: FusedLatent) -> dict[str, np.ndarray]:
     """Slice the fused tensor back into its per-modality blocks."""
     d = fused.d
@@ -122,17 +134,24 @@ class ClassifierHead:
         return self.cell.in_features
 
 
-def build_head(in_channels: int, grid: int = GRID, hidden: int = HEAD_HIDDEN,
-               seed: int = 0) -> ClassifierHead:
-    """Seeded head for fused latents of shape (in_channels, grid, grid)."""
+def head_layers(in_channels: int, grid: int = GRID, hidden: int = HEAD_HIDDEN
+                ) -> tuple[list[nn.LayerDescriptor], nn.LayerDescriptor,
+                           nn.LayerDescriptor]:
+    """The head's conv stack (shared across time steps), recurrent cell and
+    output layer for fused latents of shape (in_channels, grid, grid)."""
     conv = [
         nn.conv2d("head.c1", in_channels, HEAD_CHANNELS, 3, 2, 1), nn.relu(),
         nn.conv2d("head.c2", HEAD_CHANNELS, HEAD_CHANNELS, 3, 2, 1), nn.relu(),
     ]
-    feat_shape = nn.stack_out_shape(conv, (in_channels, grid, grid))
-    x_dim = int(np.prod(feat_shape))
+    x_dim = int(np.prod(nn.stack_out_shape(conv, (in_channels, grid, grid))))
     cell = nn.recurrent_cell("head.cell", x_dim, hidden)
-    out = nn.dense("head.out", hidden, 1)
+    return conv, cell, nn.dense("head.out", hidden, 1)
+
+
+def build_head(in_channels: int, grid: int = GRID, hidden: int = HEAD_HIDDEN,
+               seed: int = 0) -> ClassifierHead:
+    """Seeded head for fused latents of shape (in_channels, grid, grid)."""
+    conv, cell, out = head_layers(in_channels, grid, hidden)
     store = nn.ParamStore()
     rng = nn.seed_rng(seed)
     nn.init_params(conv, store, rng)
@@ -262,18 +281,18 @@ def write_training_curve(path: str, curve: list[EpochStats]) -> None:
 
 def save_head(head: ClassifierHead, path: str) -> None:
     """Write head weights in the shared tensor file format."""
-    from .vqvae import write_tensors
     write_tensors(path, dict(head.store.values))
 
 
 def load_head(path: str) -> ClassifierHead:
     """Rebuild a head from a weight file; shapes imply the architecture."""
-    from .errors import DataError
-    from .vqvae import read_tensors
     tensors = read_tensors(path)
-    for required in ("head.c1.w", "head.cell.wxu"):
+    for required, rank in (("head.c1.w", 4), ("head.cell.wxu", 2)):
         if required not in tensors:
             raise DataError(f"{path}: missing tensor {required!r}")
+        if tensors[required].ndim != rank:
+            raise DataError(f"{path}: tensor {required!r} has shape "
+                            f"{tensors[required].shape}, expected rank {rank}")
     in_channels = tensors["head.c1.w"].shape[1]
     hidden, x_dim = tensors["head.cell.wxu"].shape
     grid = 4 * int(round(np.sqrt(x_dim / HEAD_CHANNELS)))
@@ -281,14 +300,7 @@ def load_head(path: str) -> ClassifierHead:
     if head.x_dim != x_dim:
         raise DataError(f"{path}: cell input dim {x_dim} inconsistent with grid "
                         f"{grid} at {HEAD_CHANNELS} feature channels")
-    for name in head.store.names():
-        if name not in tensors:
-            raise DataError(f"{path}: missing tensor {name!r}")
-        if tensors[name].shape != head.store.values[name].shape:
-            raise DataError(f"{path}: tensor {name!r} has shape "
-                            f"{tensors[name].shape}, expected "
-                            f"{head.store.values[name].shape}")
-        head.store.values[name][...] = tensors[name]
+    load_into(head.store, tensors, path)
     return head
 
 

@@ -323,15 +323,6 @@ class ParamStore:
     def total_params(self) -> int:
         return sum(v.size for v in self.values.values())
 
-    def copy(self) -> "ParamStore":
-        out = ParamStore()
-        for name, value in self.values.items():
-            out.add(name, value.copy())
-            out.grads[name] = self.grads[name].copy()
-            out.m[name] = self.m[name].copy()
-            out.v[name] = self.v[name].copy()
-        return out
-
 
 def init_params(descs: Iterable[LayerDescriptor], store: ParamStore, rng: Rng,
                 dtype=np.float32) -> None:

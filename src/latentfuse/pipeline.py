@@ -6,11 +6,12 @@ magnitude channel, and the two runnable systems:
 - UnifiedSystem: one shared frozen encoder applied to every modality.
 - baseline.BaselineSystem: one spliced extractor per modality.
 
-Both produce identically shaped FusedLatent tensors, so they share the
-fusion head, the evaluation code, and the cost model; the only difference
-is how many encoder parameter sets exist (counted structurally by
-encoder_loads, which inspects distinct parameter stores rather than
-trusting a label).
+Both offer the same two methods, encode(modality, image) and
+parameter_stores(modalities), and produce identically shaped FusedLatent
+tensors, so they share the fusion head, the evaluation code, and the cost
+model; the only difference is how many encoder parameter sets exist
+(counted structurally by encoder_loads, which inspects distinct parameter
+stores rather than trusting a label).
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import baseline as baseline_mod
 from . import costmodel
+from . import nnkernel as nn
 from .errors import DataError, UsageError
-from .fusion import ClassifierHead, FusedLatent, Metrics, SequenceSample, evaluate, fuse
+from .fusion import ClassifierHead, SequenceSample, fuse, group_sequences
 from .ingest import Channel, MultimodalStream, Window, window_stream
-from .spectral import SpectralConfig, spectral_image
-from .vqvae import VqVaeModel, encode_image
+from .spectral import SpectralConfig, SpectralImage, spectral_image
+from .vqvae import LatentCode, VqVaeModel, encode_image
 
 log = logging.getLogger(__name__)
 
@@ -57,9 +58,18 @@ class PipelineConfig:
 
 @dataclass
 class UnifiedSystem:
+    """One shared frozen encoder applied to every modality."""
+
     model: VqVaeModel
     head: ClassifierHead | None = None
-    kind: str = "unified"
+
+    def encode(self, modality: str, image: SpectralImage) -> LatentCode:
+        """The shared encoder plus quantizer, whatever the modality."""
+        return encode_image(self.model, image)
+
+    def parameter_stores(self, modalities: tuple[str, ...]) -> list[nn.ParamStore]:
+        """The single shared store, however many modalities use it."""
+        return [self.model.store]
 
 
 def permutation_modalities(permutation: int | list[str] | tuple[str, ...]) -> tuple[str, ...]:
@@ -96,29 +106,9 @@ def derive_acc_magnitude(stream: MultimodalStream) -> MultimodalStream:
                             subject_meta=stream.subject_meta, labels=stream.labels)
 
 
-def encode_window(system, modality: str, window: Window,
-                  cfg: PipelineConfig) -> np.ndarray | object:
-    """Window -> image -> latent, under either system."""
-    image = spectral_image(window, cfg.spectral)
-    if isinstance(system, UnifiedSystem):
-        return encode_image(system.model, image)
-    if isinstance(system, baseline_mod.BaselineSystem):
-        if modality not in system.encoders:
-            raise UsageError(f"baseline system has no encoder for {modality!r}")
-        return baseline_mod.extract(system.encoders[modality], image)
-    raise UsageError(f"unknown system type {type(system).__name__}")
-
-
 def encoder_loads(system, modalities: tuple[str, ...]) -> int:
     """Count distinct encoder parameter stores the permutation touches."""
-    if isinstance(system, UnifiedSystem):
-        return len({id(system.model.store)})
-    stores = {id(system.encoders[m].store) for m in modalities
-              if m in system.encoders}
-    missing = [m for m in modalities if m not in system.encoders]
-    if missing:
-        raise UsageError(f"baseline system missing encoders for {missing}")
-    return len(stores)
+    return len({id(store) for store in system.parameter_stores(modalities)})
 
 
 def stream_to_sequences(system, stream: MultimodalStream,
@@ -147,45 +137,13 @@ def stream_to_sequences(system, stream: MultimodalStream,
         log.warning("modalities yield unequal window counts %s; using %d",
                     counts, n_steps)
 
-    steps: list[FusedLatent] = []
-    labels: list[int] = []
+    steps = []
     for i in range(n_steps):
-        latents = {}
-        step_label = None
-        for m in modalities:
-            w = per_channel[m][i]
-            latents[m] = encode_window(system, m, w, cfg)
-            step_label = w.label if step_label is None else step_label
+        latents = {m: system.encode(m, spectral_image(per_channel[m][i], cfg.spectral))
+                   for m in modalities}
         steps.append(fuse(latents, modalities))
-        labels.append(step_label)
-
-    samples = []
-    for lo in range(0, n_steps - cfg.seq_len + 1, cfg.seq_len):
-        chunk = steps[lo:lo + cfg.seq_len]
-        samples.append(SequenceSample(chunk, labels[lo + cfg.seq_len - 1]))
-    return samples
-
-
-def run_system(system, stream: MultimodalStream, permutation: int | list[str],
-               cfg: PipelineConfig = PipelineConfig()
-               ) -> tuple[Metrics, costmodel.PipelineCost]:
-    """Encode, fuse, classify, and cost one prepared stream."""
-    modalities = permutation_modalities(permutation)
-    if getattr(system, "head", None) is None:
-        raise UsageError("system has no trained classifier head")
-    samples = stream_to_sequences(system, stream, permutation, cfg)
-    if not samples:
-        raise DataError("stream too short for even one sequence")
-    metrics = evaluate(system.head, samples, cfg.threshold)
-    kind = "unified" if isinstance(system, UnifiedSystem) else "baseline"
-    cost = costmodel.pipeline_cost(
-        kind, len(modalities), cfg.embed_dim, cfg.codebook_size, cfg.seq_len,
-        cfg.window_len, cfg.spectral, cfg.energy_per_mac, modalities)
-    loads = encoder_loads(system, modalities)
-    if loads != cost.encoder_loads:
-        raise UsageError(f"structural encoder loads ({loads}) disagree with the "
-                         f"cost model ({cost.encoder_loads})")
-    return metrics, cost
+    labels = [per_channel[modalities[0]][i].label for i in range(n_steps)]
+    return group_sequences(steps, labels, cfg.seq_len)
 
 
 def fixed_benchmark_images(modalities: tuple[str, ...],
@@ -208,21 +166,12 @@ def encoding_timer(system, m: int, cfg: PipelineConfig = PipelineConfig()):
     Images are precomputed so the timed region is exactly the encoding
     stage (the stage that distinguishes the two systems).
     """
-    from .spectral import SpectralImage
     modalities = permutation_modalities(m)
+    system.parameter_stores(modalities)  # a missing encoder fails here, untimed
     pixel_map = fixed_benchmark_images(modalities, cfg)
     images = {name: SpectralImage(px, (name, 0)) for name, px in pixel_map.items()}
 
-    if isinstance(system, UnifiedSystem):
-        def run() -> None:
-            for name in modalities:
-                encode_image(system.model, images[name])
-    else:
+    def run() -> None:
         for name in modalities:
-            if name not in system.encoders:
-                raise UsageError(f"baseline system has no encoder for {name!r}")
-
-        def run() -> None:
-            for name in modalities:
-                baseline_mod.extract(system.encoders[name], images[name])
+            system.encode(name, images[name])
     return run

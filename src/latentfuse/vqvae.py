@@ -22,6 +22,7 @@ import logging
 import os
 import struct
 from dataclasses import dataclass, field
+from typing import Collection
 
 import numpy as np
 
@@ -339,6 +340,29 @@ def save_model(model: VqVaeModel, path: str, include_decoder: bool = True) -> No
     write_tensors(path, tensors)
 
 
+def load_into(store: nn.ParamStore, tensors: dict[str, np.ndarray], path: str,
+              optional: Collection[str] = ()) -> None:
+    """Copy a weight file's tensors into `store`, whose names and shapes rule.
+
+    Every mismatch is a DataError naming `path`: a store tensor the file
+    lacks (unless listed in `optional`, which then keeps its current value),
+    a tensor whose shape differs from the store's, or a file tensor the
+    store has no place for.
+    """
+    for name, value in store.values.items():
+        if name not in tensors:
+            if name in optional:
+                continue
+            raise DataError(f"{path}: missing tensor {name!r}")
+        if tensors[name].shape != value.shape:
+            raise DataError(f"{path}: tensor {name!r} has shape "
+                            f"{tensors[name].shape}, expected {value.shape}")
+        value[...] = tensors[name]
+    extra = set(tensors) - set(store.values)
+    if extra:
+        raise DataError(f"{path}: unexpected tensors {sorted(extra)}")
+
+
 def load_model(path: str) -> VqVaeModel:
     """Rebuild a frozen model from a weight file.
 
@@ -348,19 +372,12 @@ def load_model(path: str) -> VqVaeModel:
     tensors = read_tensors(path)
     if "codebook" not in tensors:
         raise DataError(f"{path}: weight file has no codebook tensor")
+    if tensors["codebook"].ndim != 2:
+        raise DataError(f"{path}: codebook has shape {tensors['codebook'].shape}, "
+                        f"expected (K, D)")
     k, d = tensors["codebook"].shape
     has_decoder = any(name.startswith("dec.") for name in tensors)
     model = build_model(k, d, seed=0, with_decoder=has_decoder)
-    for name in model.store.names():
-        if name not in tensors:
-            raise DataError(f"{path}: missing tensor {name!r}")
-        if tensors[name].shape != model.store.values[name].shape:
-            raise DataError(f"{path}: tensor {name!r} has shape "
-                            f"{tensors[name].shape}, expected "
-                            f"{model.store.values[name].shape}")
-        model.store.values[name][...] = tensors[name]
-    extra = set(tensors) - set(model.store.names())
-    if extra:
-        raise DataError(f"{path}: unexpected tensors {sorted(extra)}")
+    load_into(model.store, tensors, path)
     model.frozen = True
     return model

@@ -5,7 +5,7 @@ import pytest
 
 from latentfuse import baseline, synthetic
 from latentfuse import nnkernel as nn
-from latentfuse.errors import UsageError
+from latentfuse.errors import DataError, UsageError
 from latentfuse.spectral import SpectralImage
 
 
@@ -187,5 +187,5 @@ def test_load_extractor_rejects_missing_feature_tensor(tmp_path, pretrained):
                if not name.endswith("c3.w")}
     path = str(tmp_path / "broken.lsfw")
     write_tensors(path, tensors)
-    with pytest.raises(UsageError, match="c3.w"):
+    with pytest.raises(DataError, match="c3.w"):
         baseline.load_extractor(path, "ECG")

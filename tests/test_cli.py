@@ -198,6 +198,21 @@ def test_latents_missing_file():
         read_latents("/nonexistent/codes.lsfl")
 
 
+def test_latents_bad_modality_id(tmp_path, capsys):
+    path = tmp_path / "codes.lsfl"
+    write_latents(str(path), _sample_entries(starts=(0,), modalities=("ECG",)), 4, 3)
+    raw = bytearray(path.read_bytes())
+    # header, one-name table ("ECG"), entry count, then the entry's modality id
+    struct.pack_into("<H", raw, 16 + 2 + 2 + len("ECG") + 4, 5)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="modality id 5"):
+        read_latents(str(path))
+    code = main(["eval", "--latents", str(path), "--head", str(tmp_path / "h.lsfw"),
+                 "--modalities", "ECG"])
+    assert code == 2
+    assert "data error" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Aligning latents into sequences
 # ---------------------------------------------------------------------------

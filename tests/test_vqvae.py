@@ -1,10 +1,12 @@
 """Tests for the shared encoder, vector quantizer, loss, and weight files."""
 
+import re
+
 import numpy as np
 import pytest
 
 from latentfuse import nnkernel as nn
-from latentfuse import synthetic, vqvae
+from latentfuse import baseline, fusion, synthetic, vqvae
 from latentfuse.errors import (BadMagicError, DataError, NumericError,
                                TruncatedPayloadError, UsageError, VersionError)
 from latentfuse.spectral import SpectralImage
@@ -376,6 +378,33 @@ def test_load_model_requires_codebook(tmp_path):
                                                     dtype=np.float32)})
     with pytest.raises(DataError, match="codebook"):
         vqvae.load_model(path)
+
+
+# Each weight loader: a seeded store and the function that reads it back.
+LOADERS = {
+    "model": (lambda: vqvae.build_model(8, 8, seed=0).store, vqvae.load_model),
+    "head": (lambda: fusion.build_head(4, 8, seed=0).store, fusion.load_head),
+    "extractor": (lambda: baseline.build_encoder("ECG", 16, seed=0).store,
+                  lambda path: baseline.load_extractor(path, "ECG")),
+}
+
+
+@pytest.mark.parametrize("kind,name", [
+    ("model", "enc.c1.w"), ("model", "codebook"), ("model", "stray.w"),
+    ("head", "head.c2.w"), ("head", "head.c1.w"), ("head", "head.cell.wxu"),
+    ("head", "stray.w"),
+    ("extractor", "ECG.c1.w"), ("extractor", "ECG.tail.w"),
+    ("extractor", "stray.w"),
+])
+def test_loaders_reject_wrong_shape_and_stray_tensors(tmp_path, kind, name):
+    build, load = LOADERS[kind]
+    tensors = dict(build().values)
+    # a (1,)-shaped tensor: the wrong shape for a known name, or a stray one
+    tensors[name] = np.zeros(1, dtype=np.float32)
+    path = str(tmp_path / f"{kind}.lsfw")
+    vqvae.write_tensors(path, tensors)
+    with pytest.raises(DataError, match=re.escape(name)):
+        load(path)
 
 
 def test_loss_curve_csv(tmp_path):
