@@ -50,6 +50,11 @@ _FORMAT_VERSION = 1
 EXIT_CODES = {UsageError: 1, DataError: 2, NumericError: 3}
 
 
+# smallest accepted value of each range-checked config key
+_MINIMUM = {"window_len": 1, "stride": 1, "frame_len": 1, "codebook_size": 2,
+            "embed_dim": 1, "steps": 0, "batch": 1, "epochs": 1, "seq_len": 1}
+
+
 @dataclasses.dataclass
 class RunConfig:
     """Typed view of the key=value config file."""
@@ -82,6 +87,7 @@ class RunConfig:
             raise DataError(f"no such config file: {path}")
         fields = {f.name: f.type for f in dataclasses.fields(cls)}
         casts = {"int": int, "float": float, "str": str}
+        lines: dict[str, int] = {}
         with open(path) as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
@@ -98,6 +104,14 @@ class RunConfig:
                 except ValueError:
                     raise UsageError(f"{path}: line {line_no}: bad value for "
                                      f"{key}: {value!r}") from None
+                if key in _MINIMUM and getattr(cfg, key) < _MINIMUM[key]:
+                    raise UsageError(f"{path}: line {line_no}: {key} must be at "
+                                     f"least {_MINIMUM[key]}, got {value!r}")
+                lines[key] = line_no
+        if cfg.stride > cfg.window_len:
+            line_no = max(lines.get("stride", 0), lines.get("window_len", 0))
+            raise UsageError(f"{path}: line {line_no}: stride {cfg.stride} exceeds "
+                             f"window_len {cfg.window_len}")
         return cfg
 
     def spectral(self) -> SpectralConfig:

@@ -203,7 +203,8 @@ def preprocess_cost(window_len: int = 128, cfg: SpectralConfig = SpectralConfig(
 
 def quantize_cost(embed_dim: int, codebook_size: int, batch: int = 1,
                   grid: int = GRID) -> CostRow:
-    """Nearest-neighbor search: one mult per (cell, code, dim) difference."""
+    """Nearest-code search in GEMM form: the (cells x D) by (D x K) product,
+    one MAC per (cell, code, dim)."""
     cells = grid * grid
     macs = batch * cells * codebook_size * embed_dim
     params = codebook_size * embed_dim

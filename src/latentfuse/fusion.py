@@ -295,7 +295,13 @@ def load_head(path: str) -> ClassifierHead:
                             f"{tensors[required].shape}, expected rank {rank}")
     in_channels = tensors["head.c1.w"].shape[1]
     hidden, x_dim = tensors["head.cell.wxu"].shape
+    if in_channels < 1 or hidden < 1:
+        raise DataError(f"{path}: head tensors imply in_channels {in_channels} "
+                        f"and hidden {hidden}; both must be at least 1")
     grid = 4 * int(round(np.sqrt(x_dim / HEAD_CHANNELS)))
+    if grid < 1:
+        raise DataError(f"{path}: cell input dim {x_dim} fits no grid at "
+                        f"{HEAD_CHANNELS} feature channels")
     head = build_head(in_channels, grid, hidden, seed=0)
     if head.x_dim != x_dim:
         raise DataError(f"{path}: cell input dim {x_dim} inconsistent with grid "

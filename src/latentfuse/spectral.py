@@ -25,7 +25,8 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import BadMagicError, DataError, NumericError, UsageError
+from .errors import (BadMagicError, DataError, NumericError,
+                     TruncatedPayloadError, UsageError)
 from .ingest import Window
 
 IMAGE_SIZE = 128
@@ -214,7 +215,14 @@ def load_image(path: str) -> SpectralImage:
         magic = fh.read(4)
         if magic != _IMAGE_MAGIC:
             raise BadMagicError(f"{path}: expected magic {_IMAGE_MAGIC!r}, got {magic!r}")
-        width, height = struct.unpack("<II", fh.read(8))
+        header = fh.read(8)
+        if len(header) < 8:
+            raise TruncatedPayloadError(f"{path}: truncated header "
+                                        f"({4 + len(header)} of 12 bytes)")
+        width, height = struct.unpack("<II", header)
+        if (width, height) != (IMAGE_SIZE, IMAGE_SIZE):
+            raise DataError(f"{path}: image is {width}x{height}, expected "
+                            f"{IMAGE_SIZE}x{IMAGE_SIZE}")
         payload = fh.read()
     expected = 3 * width * height * 4
     if len(payload) != expected:

@@ -155,12 +155,66 @@ def quantize(z_e: np.ndarray, codebook: Codebook,
     d, h, w = z_e.shape
     if d != codebook.d:
         raise UsageError(f"latent dim {d} does not match codebook dim {codebook.d}")
-    vecs = z_e.reshape(d, h * w).T.astype(np.float64)
-    entries = codebook.entries.astype(np.float64)
-    dist = ((vecs[:, None, :] - entries[None, :, :]) ** 2).sum(axis=2)
-    indices = np.argmin(dist, axis=1)
+    indices = _nearest_codes(z_e.reshape(d, h * w).T, codebook.entries)
     quantized = codebook.entries[indices].T.reshape(d, h, w)
     return LatentCode(indices.reshape(h, w), quantized, source)
+
+
+def _nearest_codes(vecs: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Index of the nearest row of `entries` (K, D) for each row of `vecs` (N, D).
+
+    The result is, bitwise, the argmin of the float64 difference form
+        f_k = sum_j (v_j - e_kj)^2      (summed j = 0, 1, ..., D-1 in order)
+    with ties to the lowest index, i.e. what tests/helpers.exhaustive_nearest
+    scans for; it is found in two passes.
+
+    1. GEMM form. s_k = |e_k|^2 - 2 v.e_k, one (N, D) x (D, K) float64
+       matmul; argmin_k s_k = argmin_k |v - e_k|^2 since |v|^2 is constant
+       per row. Take the best code b and the runner-up score s_2.
+    2. Certified re-check. With u = 2^-53, gamma_n = n u / (1 - n u) and
+       S = |v|^2 + max_k |e_k|^2, the usual dot-product bound (any summation
+       order, with or without FMA) gives
+           |s_k - (d_k - |v|^2)| <= gamma_{D+1} (|e_k|^2 + 2|v||e_k|)
+                                 <= 2 gamma_{D+1} S
+       (norm, dot, one subtraction; the factor -2 is exact), and each of
+       f_k's D terms carries three roundings before D - 1 additions of
+       nonnegative numbers, so
+           |f_k - d_k| <= gamma_{D+2} d_k <= 2 gamma_{D+2} S,
+       where d_k = |v - e_k|^2 exactly. Both errors together are below
+       E = 4 gamma_{D+2} S, so if s_2 - s_b > 2E then f_k > f_b for every
+       k != b and b is the float64 answer. The check below uses
+       8 (D + 2) eps64 S (eps64 = 2u), which is >= 2E with room for the
+       rounding of S itself, plus float64's smallest normal to cover
+       underflow. Every other row (near-ties, exact ties, duplicated
+       codebook rows, non-finite values) is re-scored over all K codes in
+       the difference form and takes numpy's first argmin, which is the
+       lowest index.
+
+    The inputs are converted to float64 (exactly, for float32 data); the
+    float64 scores are N x K, so no N x K x D temporary is ever built.
+    """
+    vecs = np.asarray(vecs, dtype=np.float64)
+    codes = np.asarray(entries, dtype=np.float64)
+    n, d = vecs.shape
+    code_norms = np.einsum("kd,kd->k", codes, codes)
+    scores = vecs @ codes.T
+    scores *= -2.0
+    scores += code_norms
+    best = np.argmin(scores, axis=1)
+    rows = np.arange(n)
+    best_score = scores[rows, best]
+    scores[rows, best] = np.inf
+    gap = scores.min(axis=1) - best_score
+    scale = np.einsum("nd,nd->n", vecs, vecs) + code_norms.max()
+    bound = 8 * (d + 2) * np.finfo(np.float64).eps * scale + np.finfo(np.float64).tiny
+    near = np.flatnonzero(~(gap > bound))
+    if near.size:
+        v = vecs[near]
+        dist = np.zeros((near.size, codes.shape[0]))
+        for j in range(d):
+            dist += (v[:, j, None] - codes[None, :, j]) ** 2
+        best[near] = np.argmin(dist, axis=1)
+    return best
 
 
 def decode(model: VqVaeModel, quantized: np.ndarray) -> np.ndarray:
@@ -189,11 +243,10 @@ def vq_loss(x: np.ndarray, x_hat: np.ndarray, z_e: np.ndarray, z_q: np.ndarray,
 
 
 def _quantize_batch(z_e: np.ndarray, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized nearest-neighbor lookup for a (B, D, H, W) batch."""
+    """Nearest-code lookup for a (B, D, H, W) batch; per image it picks the
+    codes `quantize` picks. Returns flat (B*H*W,) indices and z_q."""
     b, d, h, w = z_e.shape
-    vecs = z_e.transpose(0, 2, 3, 1).reshape(-1, d)
-    dist = ((vecs[:, None, :] - entries[None, :, :]) ** 2).sum(axis=2)
-    indices = np.argmin(dist, axis=1)
+    indices = _nearest_codes(z_e.transpose(0, 2, 3, 1).reshape(-1, d), entries)
     z_q = entries[indices].reshape(b, h, w, d).transpose(0, 3, 1, 2)
     return indices, z_q
 
@@ -302,6 +355,8 @@ def read_tensors(path: str) -> dict[str, np.ndarray]:
     if data[:4] != _WEIGHTS_MAGIC:
         raise BadMagicError(f"{path}: expected magic {_WEIGHTS_MAGIC!r}, "
                             f"got {data[:4]!r}")
+    if len(data) < 12:
+        raise TruncatedPayloadError(f"{path}: truncated header ({len(data)} of 12 bytes)")
     version, count = struct.unpack_from("<II", data, 4)
     if version != _WEIGHTS_VERSION:
         raise VersionError(f"{path}: unsupported weight file version {version}")
@@ -376,6 +431,9 @@ def load_model(path: str) -> VqVaeModel:
         raise DataError(f"{path}: codebook has shape {tensors['codebook'].shape}, "
                         f"expected (K, D)")
     k, d = tensors["codebook"].shape
+    if k < 2 or d < 1:
+        raise DataError(f"{path}: codebook has shape {(k, d)}, expected at least "
+                        f"2 codes of dimension at least 1")
     has_decoder = any(name.startswith("dec.") for name in tensors)
     model = build_model(k, d, seed=0, with_decoder=has_decoder)
     load_into(model.store, tensors, path)

@@ -286,6 +286,23 @@ def test_exit_one_on_usage_error(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,line", [
+    ("seq_len=0", 1), ("batch=0", 1), ("epochs=-1", 1),
+    ("seed=1;codebook_size=0", 2), ("embed_dim=0", 1), ("window_len=0", 1),
+    ("frame_len=0", 1), ("steps=-1", 1), ("stride=0", 1), ("stride=200", 1),
+    ("window_len=64", 1), ("stride=100;seed=3;window_len=99", 3),
+])
+def test_exit_one_on_out_of_range_config(tmp_path, capsys, text, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text.replace(";", "\n") + "\n")
+    # the config is read first; the absent CSV would otherwise be exit 2
+    code = main(["ingest", "--csv", str(tmp_path / "absent.csv"),
+                 "--schema", "ecg_mv=ECG", "--out", str(tmp_path / "x.lsfd"),
+                 "--config", str(cfg)])
+    assert code == 1
+    assert f"line {line}:" in capsys.readouterr().err
+
+
 def test_exit_one_on_bad_subcommand(capsys):
     assert main(["frobnicate"]) == 1
 

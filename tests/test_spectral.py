@@ -1,5 +1,7 @@
 """Tests for the STFT, dB scaling, colormap rendering, and image files."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,25 @@ def test_image_load_rejects_truncation(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:len(data) // 2])
     with pytest.raises(DataError):
+        spectral.load_image(str(path))
+
+
+def test_image_load_truncated_anywhere_is_data_error(tmp_path):
+    path = tmp_path / "t.lsfi"
+    spectral.save_image(str(path), spectral.render_image(np.zeros((33, 65))))
+    data = path.read_bytes()
+    # every cut inside the 12-byte header, then every 997th payload byte
+    # (the 196 KB payload is too long to rewrite at each of its offsets)
+    for cut in [*range(16), *range(16, len(data), 997), len(data) - 1]:
+        path.write_bytes(data[:cut])
+        with pytest.raises(DataError):
+            spectral.load_image(str(path))
+
+
+def test_image_load_rejects_wrong_size(tmp_path):
+    path = tmp_path / "small.lsfi"
+    path.write_bytes(b"LSFI" + struct.pack("<II", 2, 2) + bytes(48))
+    with pytest.raises(DataError, match="2x2"):
         spectral.load_image(str(path))
 
 

@@ -122,6 +122,62 @@ def test_quantize_dimension_mismatch():
         vqvae.quantize(np.zeros((2, 1, 1)), cb)
 
 
+def test_quantize_batch_matches_per_image_and_exhaustive_scan():
+    rs = np.random.default_rng(11)
+    for trial in range(40):
+        k = int(rs.integers(2, 24))
+        d = int(rs.integers(1, 8))
+        # half-integer grids force exact ties; a copied row forces duplicates
+        entries = np.round(rs.normal(0, 2, (k, d))).astype(np.float32)
+        entries[-1] = entries[0]
+        z = (np.round(rs.normal(0, 2, (3, d, 4, 4)) * 2) / 2).astype(np.float32)
+        z[1, :, 0, 0] = entries[-1]
+        flat, z_q = vqvae._quantize_batch(z, entries)
+        per_image = [vqvae.quantize(img, vqvae.Codebook(entries)) for img in z]
+        assert np.array_equal(flat, np.concatenate([c.indices.reshape(-1)
+                                                    for c in per_image]))
+        assert np.array_equal(z_q, np.stack([c.quantized for c in per_image]))
+        vecs = z.transpose(0, 2, 3, 1).reshape(-1, d)
+        for cell, got in enumerate(flat):
+            assert got == exhaustive_nearest(vecs[cell], entries)
+        assert flat[16] == 0  # the copy of row 0 loses the tie
+
+
+def test_quantize_exact_tie_at_large_magnitude():
+    # codes c + a and c - a around a cell at v = c, |c_j| ~ 1e2..1e4 and a_j
+    # a few ulps of c_j: both differences are exact, so the float64
+    # difference form ties the two codes exactly, while |e|^2 - 2 v.e
+    # rounds at ~1e-9 and orders them either way. The re-check has to hand
+    # the tie to the lowest index every time.
+    rs = np.random.default_rng(12)
+    misordered = 0
+    for _ in range(40):
+        c = (rs.choice([-1, 1], 16) * 10 ** rs.uniform(2, 4, 16)).astype(np.float32)
+        a = (rs.integers(-8, 9, 16) * np.spacing(np.abs(c))).astype(np.float32)
+        entries = np.stack([c + a, c - a, c + np.float32(1e3)])
+        v = c.astype(np.float64)
+        e64 = entries.astype(np.float64)
+        assert np.array_equal(e64[0] - v, v - e64[1])  # an exact tie
+        gemm = (e64 * e64).sum(axis=1) - 2.0 * (e64 * v).sum(axis=1)
+        misordered += gemm[1] < gemm[0]
+        z = v.reshape(16, 1, 1)
+        assert vqvae.quantize(z, vqvae.Codebook(entries)).indices[0, 0] == 0
+        flat, _ = vqvae._quantize_batch(z[None].astype(np.float32), entries)
+        assert flat[0] == 0 == exhaustive_nearest(v, entries)
+    assert misordered > 0  # the GEMM form alone gets some of these wrong
+
+
+def test_quantize_batch_accepts_float64_latents():
+    rs = np.random.default_rng(13)
+    entries = rs.standard_normal((16, 5)).astype(np.float32)
+    z = rs.standard_normal((2, 5, 3, 3))  # float64, as the tests above pass
+    flat, z_q = vqvae._quantize_batch(z, entries)
+    assert z_q.dtype == np.float32 and z_q.shape == z.shape
+    vecs = z.transpose(0, 2, 3, 1).reshape(-1, 5)
+    assert [exhaustive_nearest(v, entries) for v in vecs] == flat.tolist()
+    assert np.array_equal(z_q[0], vqvae.quantize(z[0], vqvae.Codebook(entries)).quantized)
+
+
 # ---------------------------------------------------------------------------
 # Loss
 # ---------------------------------------------------------------------------
@@ -405,6 +461,33 @@ def test_loaders_reject_wrong_shape_and_stray_tensors(tmp_path, kind, name):
     vqvae.write_tensors(path, tensors)
     with pytest.raises(DataError, match=re.escape(name)):
         load(path)
+
+
+@pytest.mark.parametrize("kind,name,shape", [
+    ("model", "codebook", (1, 8)), ("model", "codebook", (8, 0)),
+    ("head", "head.cell.wxu", (64, 0)), ("head", "head.cell.wxu", (0, 64)),
+    ("head", "head.cell.wxu", (64, 1)), ("head", "head.c1.w", (16, 0, 3, 3)),
+])
+def test_loaders_reject_degenerate_architecture(tmp_path, kind, name, shape):
+    build, load = LOADERS[kind]
+    tensors = dict(build().values)
+    tensors[name] = np.zeros(shape, dtype=np.float32)
+    path = str(tmp_path / f"{kind}.lsfw")
+    vqvae.write_tensors(path, tensors)
+    with pytest.raises(DataError, match=re.escape(path)):
+        load(path)
+
+
+def test_weight_file_truncated_anywhere_is_data_error(tmp_path):
+    path = tmp_path / "w.lsfw"
+    vqvae.write_tensors(str(path), {"codebook": np.ones((2, 3), dtype=np.float32),
+                                    "scale": np.float32(2.0).reshape(())})
+    data = path.read_bytes()
+    assert vqvae.read_tensors(str(path))["codebook"].shape == (2, 3)
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(DataError):
+            vqvae.read_tensors(str(path))
 
 
 def test_loss_curve_csv(tmp_path):
