@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import baseline as baseline_mod
-from . import costmodel, pipeline
+from . import binio, costmodel, pipeline
 from .errors import (BadMagicError, DataError, NumericError,
                      TruncatedPayloadError, UsageError, VersionError)
 from .fusion import (ClassifierConfig, SequenceSample, evaluate, fuse,
@@ -141,15 +141,12 @@ def _write_name_table(fh, names: list[str]) -> None:
         fh.write(raw)
 
 
-def _read_name_table(data: bytes, offset: int) -> tuple[list[str], int]:
-    (count,) = struct.unpack_from("<H", data, offset)
-    offset += 2
+def _read_name_table(data: bytes, offset: int, path: str) -> tuple[list[str], int]:
+    (count,), offset = binio.unpack("<H", data, offset, path, "name table")
     names = []
-    for _ in range(count):
-        (ln,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        names.append(data[offset:offset + ln].decode("utf-8"))
-        offset += ln
+    for i in range(count):
+        name, offset = binio.read_name(data, offset, path, f"modality name {i}")
+        names.append(name)
     return names, offset
 
 
@@ -177,12 +174,11 @@ def read_dataset(path: str) -> tuple[dict[str, list[Window]], int]:
     if data[:4] != _DATASET_MAGIC:
         raise BadMagicError(f"{path}: expected magic {_DATASET_MAGIC!r}, "
                             f"got {data[:4]!r}")
-    (version,) = struct.unpack_from("<I", data, 4)
+    (version,), offset = binio.unpack("<I", data, 4, path, "header")
     if version != _FORMAT_VERSION:
         raise VersionError(f"{path}: unsupported dataset version {version}")
-    names, offset = _read_name_table(data, 8)
-    window_len, total = struct.unpack_from("<II", data, offset)
-    offset += 8
+    names, offset = _read_name_table(data, offset, path)
+    (window_len, total), offset = binio.unpack("<II", data, offset, path, "header")
     windows: dict[str, list[Window]] = {n: [] for n in names}
     record = 2 + 4 + 1 + 4 * window_len
     for i in range(total):
@@ -237,12 +233,11 @@ def read_latents(path: str) -> tuple[list[LatentEntry], int, int]:
     if data[:4] != _LATENT_MAGIC:
         raise BadMagicError(f"{path}: expected magic {_LATENT_MAGIC!r}, "
                             f"got {data[:4]!r}")
-    version, embed_dim, grid = struct.unpack_from("<III", data, 4)
+    (version, embed_dim, grid), offset = binio.unpack("<III", data, 4, path, "header")
     if version != _FORMAT_VERSION:
         raise VersionError(f"{path}: unsupported latent file version {version}")
-    names, offset = _read_name_table(data, 16)
-    (total,) = struct.unpack_from("<I", data, offset)
-    offset += 4
+    names, offset = _read_name_table(data, offset, path)
+    (total,), offset = binio.unpack("<I", data, offset, path, "header")
     cells = grid * grid
     record = 7 + 2 * cells + 4 * embed_dim * cells
     entries = []

@@ -357,7 +357,8 @@ def sigmoid_fn(x: np.ndarray) -> np.ndarray:
 
 def _im2col(x: np.ndarray, k: int, s: int, p: int) -> tuple[np.ndarray, int, int]:
     n, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    xp[:, :, p:p + h, p:p + w] = x
     ho = (h + 2 * p - k) // s + 1
     wo = (w + 2 * p - k) // s + 1
     sn, sc, sh, sw = xp.strides
@@ -399,7 +400,8 @@ def forward(desc: LayerDescriptor, store: ParamStore, x):
         b = store.values[f"{desc.name}.b"]
         cols, ho, wo = _im2col(x, desc.kernel, desc.stride, desc.padding)
         wm = w.reshape(desc.out_channels, -1)
-        out = np.matmul(wm, cols) + b[:, None]
+        out = np.matmul(wm, cols)
+        out += b[:, None]
         out = out.reshape(x.shape[0], desc.out_channels, ho, wo)
         return out, (x.shape, cols, ho, wo)
 

@@ -136,15 +136,21 @@ def load_colormap() -> np.ndarray:
 
 
 def apply_colormap(norm: np.ndarray) -> np.ndarray:
-    """Map values in [0,1] to RGB via the table, interpolating between rows."""
-    table = load_colormap()
+    """Map values in [0,1] to RGB via the table, interpolating between rows.
+
+    Returns the channel axis first: shape (3,) + norm.shape.
+    """
+    table = load_colormap().T
     p = np.clip(norm, 0.0, 1.0) * 255.0
     k = np.minimum(p.astype(np.int64), 254)
     f = p - k
-    lo = table[k]
-    hi = table[k + 1]
-    rgb = lo * (1.0 - f)[..., None] + hi * f[..., None]
-    return np.moveaxis(rgb, -1, 0)
+    # lo*(1-f) + hi*f, evaluated in place on the gathered rows
+    rgb = np.take(table, k, axis=1)
+    hi = np.take(table, k + 1, axis=1)
+    rgb *= 1.0 - f
+    hi *= f
+    rgb += hi
+    return rgb
 
 
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -162,13 +168,15 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     fx = (rx - x0)[None, None, :]
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    tl = img[:, y0[:, None], x0[None, :]]
-    tr = img[:, y0[:, None], x1[None, :]]
-    bl = img[:, y1[:, None], x0[None, :]]
-    br = img[:, y1[:, None], x1[None, :]]
-    top = tl * (1.0 - fx) + tr * fx
-    bot = bl * (1.0 - fx) + br * fx
-    return top * (1.0 - fy) + bot * fy
+    # Separable, but per output pixel the same float64 operations in the
+    # same order as (tl*(1-fx) + tr*fx)*(1-fy) + (bl*(1-fx) + br*fx)*fy.
+    rows = img[:, :, x0] * (1.0 - fx) + img[:, :, x1] * fx
+    out = rows[:, y0]
+    bot = rows[:, y1]
+    out *= 1.0 - fy
+    bot *= fy
+    out += bot
+    return out
 
 
 def render_image(mag: np.ndarray, source: tuple[str, int] = ("", 0)) -> SpectralImage:
@@ -188,7 +196,8 @@ def render_image(mag: np.ndarray, source: tuple[str, int] = ("", 0)) -> Spectral
         norm = np.full(mag.shape, 0.5)
     resized = bilinear_resize(norm[None], IMAGE_SIZE, IMAGE_SIZE)[0]
     rgb = apply_colormap(resized)
-    pixels = np.clip(rgb, 0.0, 1.0).astype(np.float32)
+    np.clip(rgb, 0.0, 1.0, out=rgb)
+    pixels = rgb.astype(np.float32)
     return SpectralImage(pixels, source)
 
 

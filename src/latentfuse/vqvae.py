@@ -19,6 +19,7 @@ collapsing onto a few entries.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -26,6 +27,7 @@ from typing import Collection
 
 import numpy as np
 
+from . import binio
 from . import nnkernel as nn
 from .errors import (BadMagicError, DataError, NumericError,
                      TruncatedPayloadError, UsageError, VersionError)
@@ -355,33 +357,28 @@ def read_tensors(path: str) -> dict[str, np.ndarray]:
     if data[:4] != _WEIGHTS_MAGIC:
         raise BadMagicError(f"{path}: expected magic {_WEIGHTS_MAGIC!r}, "
                             f"got {data[:4]!r}")
-    if len(data) < 12:
-        raise TruncatedPayloadError(f"{path}: truncated header ({len(data)} of 12 bytes)")
-    version, count = struct.unpack_from("<II", data, 4)
+    (version, count), offset = binio.unpack("<II", data, 4, path, "header")
     if version != _WEIGHTS_VERSION:
         raise VersionError(f"{path}: unsupported weight file version {version}")
-    offset = 12
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        try:
-            (name_len,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            name = data[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            (rank,) = struct.unpack_from("<B", data, offset)
-            offset += 1
-            dims = struct.unpack_from(f"<{rank}I", data, offset)
-            offset += 4 * rank
-        except struct.error:
-            raise TruncatedPayloadError(f"{path}: truncated tensor header after "
-                                        f"{len(tensors)} tensors") from None
-        n_bytes = int(np.prod(dims)) * 4 if rank else 4
+        what = f"header of tensor {len(tensors)}"
+        name, offset = binio.read_name(data, offset, path, what)
+        (rank,), offset = binio.unpack("<B", data, offset, path, what)
+        dims, offset = binio.unpack(f"<{rank}I", data, offset, path, what)
+        n_bytes = math.prod(dims) * 4
         payload = data[offset:offset + n_bytes]
         if len(payload) < n_bytes:
             raise TruncatedPayloadError(f"{path}: truncated payload for tensor "
                                         f"{name!r} ({len(payload)}/{n_bytes} bytes)")
         offset += n_bytes
-        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        try:
+            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        except ValueError:
+            # more dimensions than numpy supports, or a zero-size shape whose
+            # other dimensions overflow its size computation
+            raise DataError(f"{path}: tensor {name!r} has unsupported shape "
+                            f"{dims}") from None
     return tensors
 
 

@@ -135,3 +135,70 @@ def conv_macs_by_loop(cin: int, cout: int, k: int, h: int, w: int,
             for _ in range(wo):
                 count += cin * k * k
     return count
+
+
+def four_gather_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Corner-aligned bilinear resize of (C, H, W), one gather per neighbour.
+
+    Every output pixel is (tl*(1-fx) + tr*fx)*(1-fy) + (bl*(1-fx) + br*fx)*fy
+    in float64, the formula docs/formats.md pins.
+    """
+    c, h, w = img.shape
+    ry = np.arange(out_h) * ((h - 1) / (out_h - 1)) if out_h > 1 else np.zeros(1)
+    rx = np.arange(out_w) * ((w - 1) / (out_w - 1)) if out_w > 1 else np.zeros(1)
+    if h == 1:
+        ry = np.zeros(out_h)
+    if w == 1:
+        rx = np.zeros(out_w)
+    y0 = np.minimum(ry.astype(np.int64), max(h - 2, 0))
+    x0 = np.minimum(rx.astype(np.int64), max(w - 2, 0))
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = (ry - y0)[None, :, None]
+    fx = (rx - x0)[None, None, :]
+    tl = img[:, y0[:, None], x0[None, :]]
+    tr = img[:, y0[:, None], x1[None, :]]
+    bl = img[:, y1[:, None], x0[None, :]]
+    br = img[:, y1[:, None], x1[None, :]]
+    return (tl * (1.0 - fx) + tr * fx) * (1.0 - fy) + (bl * (1.0 - fx) + br * fx) * fy
+
+
+def rows_colormap(norm: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Piecewise-linear colormap lookup with the color axis last: (..., 3)."""
+    p = np.clip(norm, 0.0, 1.0) * 255.0
+    k = np.minimum(p.astype(np.int64), 254)
+    f = p - k
+    return table[k] * (1.0 - f)[..., None] + table[k + 1] * f[..., None]
+
+
+def render_by_formula(mag: np.ndarray, table: np.ndarray, size: int = 128) -> np.ndarray:
+    """Min-max normalize, four-gather resize, colormap, clip: (3, size, size) float32."""
+    mag = np.asarray(mag, dtype=np.float64)
+    lo, hi = mag.min(), mag.max()
+    norm = (mag - lo) / (hi - lo) if hi > lo else np.full(mag.shape, 0.5)
+    resized = four_gather_resize(norm[None], size, size)[0]
+    rgb = np.clip(rows_colormap(resized, table), 0.0, 1.0)
+    return np.moveaxis(rgb, -1, 0).astype(np.float32)
+
+
+def im2col_by_loops(x: np.ndarray, k: int, s: int, p: int) -> tuple[np.ndarray, int, int]:
+    """Copy every k x k patch of the zero-padded input, one element at a time.
+
+    Row (ch*k + i)*k + j, column oy*wo + ox of image b holds
+    x[b, ch, oy*s + i - p, ox*s + j - p], or 0 where that falls in the padding.
+    """
+    n, c, h, w = x.shape
+    ho = (h + 2 * p - k) // s + 1
+    wo = (w + 2 * p - k) // s + 1
+    cols = np.zeros((n, c * k * k, ho * wo), dtype=x.dtype)
+    for b in range(n):
+        for ch in range(c):
+            for i in range(k):
+                for j in range(k):
+                    row = (ch * k + i) * k + j
+                    for oy in range(ho):
+                        for ox in range(wo):
+                            y, xx = oy * s + i - p, ox * s + j - p
+                            if 0 <= y < h and 0 <= xx < w:
+                                cols[b, row, oy * wo + ox] = x[b, ch, y, xx]
+    return cols, ho, wo

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -210,6 +211,59 @@ def test_latents_bad_modality_id(tmp_path, capsys):
     code = main(["eval", "--latents", str(path), "--head", str(tmp_path / "h.lsfw"),
                  "--modalities", "ECG"])
     assert code == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def _write_sample_container(path, fmt):
+    if fmt == "lsfd":
+        write_dataset(str(path), _sample_windows(), 16)
+        return read_dataset
+    write_latents(str(path), _sample_entries(), 4, 3)
+    return read_latents
+
+
+@pytest.mark.parametrize("fmt", ["lsfd", "lsfl"])
+def test_container_cut_anywhere_is_data_error(tmp_path, fmt):
+    path = tmp_path / f"x.{fmt}"
+    read = _write_sample_container(path, fmt)
+    data = path.read_bytes()
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            read(str(path))
+
+
+@pytest.mark.parametrize("fmt", ["lsfd", "lsfl"])
+def test_container_flipped_anywhere_reads_or_is_data_error(tmp_path, fmt):
+    path = tmp_path / f"x.{fmt}"
+    read = _write_sample_container(path, fmt)
+    data = path.read_bytes()
+    rejected = 0
+    for i in range(len(data)):
+        for mask in (0xFF, 0x80):
+            raw = bytearray(data)
+            raw[i] ^= mask
+            path.write_bytes(bytes(raw))
+            try:
+                read(str(path))
+            except DataError as exc:
+                # any other exception class fails the test as it propagates
+                assert str(path) in str(exc), (i, mask, exc)
+                rejected += 1
+    # the magic and the version alone give 2 * 8 rejected flips
+    assert rejected >= 16
+
+
+def test_dataset_name_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "data.lsfd"
+    write_dataset(str(path), _sample_windows(), 16)
+    raw = bytearray(path.read_bytes())
+    # magic, version, name count, then the first name's length and bytes
+    raw[4 + 4 + 2 + 2] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="not valid UTF-8"):
+        read_dataset(str(path))
+    assert main(["dump", "--data", str(path)]) == 2
     assert "data error" in capsys.readouterr().err
 
 

@@ -6,7 +6,7 @@ import pytest
 from latentfuse import nnkernel as nn
 from latentfuse.errors import NumericError, UsageError
 
-from helpers import fd_param_error, fd_array_error
+from helpers import fd_param_error, fd_array_error, im2col_by_loops
 
 
 # ---------------------------------------------------------------------------
@@ -443,3 +443,18 @@ def test_softmax_cross_entropy_matches_direct_formula():
     ref_grad = probs.copy()
     ref_grad[np.arange(9), labels] -= 1
     assert np.allclose(grad, ref_grad / 9, atol=1e-12)
+
+
+# (kernel, stride, padding) of every conv the encoder, the decoder backward,
+# the baseline extractors and the head run through _im2col
+@pytest.mark.parametrize("k,s,p", [(4, 2, 1), (3, 1, 1), (3, 2, 1)])
+@pytest.mark.parametrize("n,c", [(1, 3), (8, 3), (8, 5)])
+def test_im2col_matches_patch_loop_bitwise(k, s, p, n, c):
+    rs = np.random.default_rng(k * 100 + s * 10 + n + c)
+    for dtype in (np.float32, np.float64):
+        x = rs.normal(size=(n, c, 10, 7)).astype(dtype)
+        cols, ho, wo = nn._im2col(x, k, s, p)
+        want, want_ho, want_wo = im2col_by_loops(x, k, s, p)
+        assert (ho, wo) == (want_ho, want_wo)
+        assert cols.dtype == want.dtype
+        assert cols.tobytes() == np.ascontiguousarray(want).tobytes()

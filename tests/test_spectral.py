@@ -9,7 +9,8 @@ from latentfuse import spectral
 from latentfuse.errors import BadMagicError, DataError, NumericError, UsageError
 from latentfuse.ingest import Window
 
-from helpers import direct_dft
+from helpers import (direct_dft, four_gather_resize, render_by_formula,
+                     rows_colormap)
 
 
 def full_bins(spec):
@@ -214,6 +215,53 @@ def test_render_output_contract():
 def test_render_rejects_nonfinite():
     with pytest.raises(NumericError):
         spectral.render_image(np.array([[0.0, np.nan]]))
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_render_matches_four_gather_formula_bitwise():
+    table = spectral.load_colormap()
+    rs = np.random.default_rng(11)
+    mags = [rs.normal(0.0, 20.0, size=tuple(rs.integers(1, 71, size=2)))
+            for _ in range(40)]
+    mags += [rs.normal(size=(1, 65)), rs.normal(size=(33, 1)), rs.normal(size=(1, 1)),
+             np.full((33, 65), -37.5), np.array([[0.0, 1.0], [1.0, 0.0]])]
+    for mag in mags:
+        got = spectral.render_image(mag).pixels
+        assert _bitwise_equal(got, render_by_formula(mag, table)), mag.shape
+
+
+def test_bilinear_resize_matches_four_gather_formula_bitwise():
+    rs = np.random.default_rng(12)
+    cases = [((1, 33, 65), 128, 128), ((3, 33, 65), 7, 200), ((2, 5, 3), 1, 5),
+             ((3, 4, 9), 64, 1), ((1, 1, 1), 4, 4), ((1, 1, 9), 3, 3),
+             ((2, 9, 1), 3, 7), ((3, 20, 30), 1, 1), ((1, 6, 6), 6, 6)]
+    for _ in range(10):
+        cases.append(((int(rs.integers(1, 4)), *rs.integers(1, 71, size=2)),
+                      *rs.integers(1, 129, size=2)))
+    for shape, out_h, out_w in cases:
+        img = rs.normal(size=shape)
+        got = spectral.bilinear_resize(img, int(out_h), int(out_w))
+        assert _bitwise_equal(got, four_gather_resize(img, int(out_h), int(out_w))), \
+            (shape, out_h, out_w)
+
+
+def test_apply_colormap_matches_row_lookup_bitwise():
+    table = spectral.load_colormap()
+    rs = np.random.default_rng(13)
+    edges = np.array([-0.5, 0.0, 1.0 / 255.0, 254.0 / 255.0, 254.5 / 255.0, 1.0, 1.5])
+    for norm in (rs.uniform(-0.1, 1.1, size=(128, 128)), rs.uniform(size=(5, 7, 2)),
+                 rs.uniform(size=17), edges):
+        want = np.moveaxis(rows_colormap(norm, table), -1, 0)
+        assert _bitwise_equal(spectral.apply_colormap(norm), want), norm.shape
+
+
+def test_render_pixels_are_contiguous_float32():
+    img = spectral.render_image(np.random.default_rng(14).normal(size=(33, 65)))
+    assert img.pixels.dtype == np.float32
+    assert img.pixels.flags.c_contiguous
 
 
 def test_spectral_image_deterministic():

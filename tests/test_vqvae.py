@@ -490,6 +490,24 @@ def test_weight_file_truncated_anywhere_is_data_error(tmp_path):
             vqvae.read_tensors(str(path))
 
 
+def test_weight_file_header_byte_any_value_reads_or_is_data_error(tmp_path):
+    path = tmp_path / "w.lsfw"
+    # a payload long enough that a corrupted rank reads payload bytes as dims
+    vqvae.write_tensors(str(path), {"codebook": np.ones((64, 16), dtype=np.float32)})
+    data = path.read_bytes()
+    header = 4 + 4 + 4 + 2 + len("codebook") + 1 + 2 * 4
+    for i in range(header):
+        for value in range(256):
+            raw = bytearray(data)
+            raw[i] = value
+            path.write_bytes(bytes(raw))
+            try:
+                vqvae.read_tensors(str(path))
+            except DataError as exc:
+                # any other exception class fails the test as it propagates
+                assert str(path) in str(exc), (i, value, exc)
+
+
 def test_loss_curve_csv(tmp_path):
     curve = [vqvae.VqLossReport(0.5, 0.2, 0.05), vqvae.VqLossReport(0.4, 0.1, 0.025)]
     path = tmp_path / "curve.csv"
