@@ -53,7 +53,6 @@ class ModalityEncoder:
     tail: nn.LayerDescriptor
     store: nn.ParamStore
     embed_dim: int
-    frozen: bool = False
 
 
 @dataclass
@@ -195,7 +194,6 @@ def splice(encoder: ModalityEncoder | SplicedExtractor) -> SplicedExtractor:
     """Drop the classifier tail and freeze the features. Idempotent."""
     if isinstance(encoder, SplicedExtractor):
         return encoder
-    encoder.frozen = True
     return SplicedExtractor(encoder.modality, encoder.features, encoder.store,
                             encoder.embed_dim)
 

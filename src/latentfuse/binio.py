@@ -1,16 +1,36 @@
 """Bounds-checked reads from the bytes of a binary file.
 
-The .lsfd, .lsfl and .lsfw readers unpack their headers and names through
-these two functions, so a file that is cut short or carries a corrupted
-length or name ends in a DataError naming the path (exit code 2), never in
-a struct.error or UnicodeDecodeError.
+The .lsfd, .lsfl and .lsfw readers load their files through read_file
+and unpack headers and names through unpack and read_name, so a missing,
+mislabelled, cut or corrupted file ends in a DataError naming the path
+(exit code 2), never in a struct.error or UnicodeDecodeError.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
-from .errors import DataError, TruncatedPayloadError
+from .errors import (BadMagicError, DataError, TruncatedPayloadError,
+                     VersionError)
+
+
+def read_file(path: str, magic: bytes, version: int, what: str,
+              remedy: str) -> tuple[bytes, int]:
+    """Read a `what` file that starts with `magic` and a u32 `version`;
+    return its bytes and the offset after the version. `remedy` tells the
+    reader of a VersionError how to get a file of this version."""
+    if not os.path.exists(path):
+        raise DataError(f"no such {what}: {path}")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[:4] != magic:
+        raise BadMagicError(f"{path}: expected magic {magic!r}, got {data[:4]!r}")
+    (found,), offset = unpack("<I", data, 4, path, "header")
+    if found != version:
+        raise VersionError(f"{path}: unsupported {what} version {found}; "
+                           f"{remedy} to write version {version}")
+    return data, offset
 
 
 def unpack(fmt: str, data: bytes, offset: int, path: str,

@@ -11,9 +11,10 @@ File formats (full layouts in docs/formats.md):
 - .lsfd windowed dataset: magic "LSFD", version, modality name table,
   window length, then per window: modality id, start index, label, and
   float32 samples.
-- .lsfl latent dataset: magic "LSFL", version, embedding dim, grid size,
-  modality name table, then per entry: modality id, start index, label,
-  u16 code indices, float32 quantized tensor.
+- .lsfl latent dataset: magic "LSFL", version, codebook size K, code
+  dimension D, grid size g, the K x D float32 codebook, modality name
+  table, then per entry: modality id, start index, label, g x g u16 code
+  indices. Readers rebuild each quantized tensor by codebook lookup.
 - .lsfw weights and .lsfi images are documented beside their modules.
 """
 
@@ -30,29 +31,44 @@ import numpy as np
 
 from . import baseline as baseline_mod
 from . import binio, costmodel, pipeline
-from .errors import (BadMagicError, DataError, NumericError,
-                     TruncatedPayloadError, UsageError, VersionError)
+from .errors import DataError, NumericError, TruncatedPayloadError, UsageError
 from .fusion import (ClassifierConfig, SequenceSample, evaluate, fuse,
                      group_sequences, load_head, save_head, train_classifier,
                      write_training_curve)
 from .ingest import (Window, load_labels, load_stream, prepare_stream,
                      window_stream)
 from .spectral import SpectralConfig, load_image, spectral_image
-from .vqvae import (VqVaeConfig, encode_image, load_model, save_model,
-                    train_vqvae, write_loss_curve)
+from .vqvae import (GRID, Codebook, VqVaeConfig, encode_image, load_model,
+                    save_model, train_vqvae, write_loss_curve)
 
 log = logging.getLogger(__name__)
 
 _DATASET_MAGIC = b"LSFD"
 _LATENT_MAGIC = b"LSFL"
 _FORMAT_VERSION = 1
+_LATENT_VERSION = 2
 
 EXIT_CODES = {UsageError: 1, DataError: 2, NumericError: 3}
 
 
 # smallest accepted value of each range-checked config key
 _MINIMUM = {"window_len": 1, "stride": 1, "frame_len": 1, "codebook_size": 2,
-            "embed_dim": 1, "steps": 0, "batch": 1, "epochs": 1, "seq_len": 1}
+            "embed_dim": 1, "steps": 0, "batch": 1, "epochs": 1, "seq_len": 1,
+            "beta": 0.0, "resample_hz": 0.0, "energy_per_mac": 0.0,
+            "threshold": 0.0}
+
+
+def _out_of_range(key: str, value) -> str | None:
+    """Why a config value is refused, or None when it is accepted."""
+    if isinstance(value, float) and not np.isfinite(value):
+        return "must be finite"
+    if key in _MINIMUM and value < _MINIMUM[key]:
+        return f"must be at least {_MINIMUM[key]}"
+    if key == "lr" and value <= 0:
+        return "must be positive"
+    if key == "threshold" and value > 1:
+        return "must be at most 1"
+    return None
 
 
 @dataclasses.dataclass
@@ -104,9 +120,10 @@ class RunConfig:
                 except ValueError:
                     raise UsageError(f"{path}: line {line_no}: bad value for "
                                      f"{key}: {value!r}") from None
-                if key in _MINIMUM and getattr(cfg, key) < _MINIMUM[key]:
-                    raise UsageError(f"{path}: line {line_no}: {key} must be at "
-                                     f"least {_MINIMUM[key]}, got {value!r}")
+                problem = _out_of_range(key, getattr(cfg, key))
+                if problem:
+                    raise UsageError(f"{path}: line {line_no}: {key} {problem}, "
+                                     f"got {value!r}")
                 lines[key] = line_no
         if cfg.stride > cfg.window_len:
             line_no = max(lines.get("stride", 0), lines.get("window_len", 0))
@@ -150,6 +167,24 @@ def _read_name_table(data: bytes, offset: int, path: str) -> tuple[list[str], in
     return names, offset
 
 
+def _read_records(data: bytes, offset: int, path: str, names: list[str],
+                  what: str, dtype: str, count: int):
+    """Yield (modality, start, label, values) per record of a container body:
+    a u32 record count, then per record a u16 modality id, u32 start, u8
+    label and `count` values of `dtype` (a read-only view of `data`)."""
+    (total,), offset = binio.unpack("<I", data, offset, path, "header")
+    size = 7 + np.dtype(dtype).itemsize * count
+    for i in range(total):
+        if offset + size > len(data):
+            raise TruncatedPayloadError(f"{path}: truncated at {what} {i} of {total}")
+        mod_id, start, label = struct.unpack_from("<HIB", data, offset)
+        if mod_id >= len(names) or label > 1:
+            raise DataError(f"{path}: {what} {i} has modality id {mod_id} and label "
+                            f"{label}; ids stop at {len(names) - 1}, labels are 0 or 1")
+        yield names[mod_id], start, label, np.frombuffer(data, dtype, count, offset + 7)
+        offset += size
+
+
 def write_dataset(path: str, windows: dict[str, list[Window]],
                   window_len: int) -> None:
     names = sorted(windows)
@@ -167,33 +202,14 @@ def write_dataset(path: str, windows: dict[str, list[Window]],
 
 
 def read_dataset(path: str) -> tuple[dict[str, list[Window]], int]:
-    if not os.path.exists(path):
-        raise DataError(f"no such file: {path}")
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != _DATASET_MAGIC:
-        raise BadMagicError(f"{path}: expected magic {_DATASET_MAGIC!r}, "
-                            f"got {data[:4]!r}")
-    (version,), offset = binio.unpack("<I", data, 4, path, "header")
-    if version != _FORMAT_VERSION:
-        raise VersionError(f"{path}: unsupported dataset version {version}")
+    data, offset = binio.read_file(path, _DATASET_MAGIC, _FORMAT_VERSION,
+                                   "dataset file", "re-run ingest")
     names, offset = _read_name_table(data, offset, path)
-    (window_len, total), offset = binio.unpack("<II", data, offset, path, "header")
+    (window_len,), offset = binio.unpack("<I", data, offset, path, "header")
     windows: dict[str, list[Window]] = {n: [] for n in names}
-    record = 2 + 4 + 1 + 4 * window_len
-    for i in range(total):
-        if offset + record > len(data):
-            raise TruncatedPayloadError(f"{path}: truncated at window {i} "
-                                        f"of {total}")
-        mod_id, start, label = struct.unpack_from("<HIB", data, offset)
-        offset += 7
-        values = np.frombuffer(data, dtype="<f4", count=window_len,
-                               offset=offset).astype(np.float64)
-        offset += 4 * window_len
-        if mod_id >= len(names):
-            raise DataError(f"{path}: window {i} references modality id {mod_id}")
-        name = names[mod_id]
-        windows[name].append(Window(name, start, values, label))
+    for name, start, label, values in _read_records(data, offset, path, names,
+                                                    "window", "<f4", window_len):
+        windows[name].append(Window(name, start, values.astype(np.float64), label))
     return windows, window_len
 
 
@@ -207,59 +223,50 @@ class LatentEntry:
     start: int
     label: int
     indices: np.ndarray
-    quantized: np.ndarray
 
 
-def write_latents(path: str, entries: list[LatentEntry], embed_dim: int,
+def write_latents(path: str, entries: list[LatentEntry], codebook: Codebook,
                   grid: int) -> None:
+    if codebook.k > 1 << 16:
+        raise UsageError(f"{path}: u16 indices cannot name {codebook.k} codes")
     names = sorted({e.modality for e in entries})
     name_id = {n: i for i, n in enumerate(names)}
     with open(path, "wb") as fh:
         fh.write(_LATENT_MAGIC)
-        fh.write(struct.pack("<III", _FORMAT_VERSION, embed_dim, grid))
+        fh.write(struct.pack("<IIII", _LATENT_VERSION, codebook.k, codebook.d, grid))
+        fh.write(np.ascontiguousarray(codebook.entries, dtype="<f4").tobytes())
         _write_name_table(fh, names)
         fh.write(struct.pack("<I", len(entries)))
         for e in entries:
             fh.write(struct.pack("<HIB", name_id[e.modality], e.start, e.label))
             fh.write(e.indices.astype("<u2").tobytes())
-            fh.write(e.quantized.astype("<f4").tobytes())
 
 
-def read_latents(path: str) -> tuple[list[LatentEntry], int, int]:
-    if not os.path.exists(path):
-        raise DataError(f"no such file: {path}")
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != _LATENT_MAGIC:
-        raise BadMagicError(f"{path}: expected magic {_LATENT_MAGIC!r}, "
-                            f"got {data[:4]!r}")
-    (version, embed_dim, grid), offset = binio.unpack("<III", data, 4, path, "header")
-    if version != _FORMAT_VERSION:
-        raise VersionError(f"{path}: unsupported latent file version {version}")
+def read_latents(path: str) -> tuple[list[LatentEntry], Codebook]:
+    data, offset = binio.read_file(path, _LATENT_MAGIC, _LATENT_VERSION,
+                                   "latent file", "re-run encode")
+    (k, d, grid), offset = binio.unpack("<III", data, offset, path, "header")
+    if k < 2 or d < 1:
+        raise DataError(f"{path}: codebook has shape {(k, d)}, expected at least "
+                        f"2 codes of dimension at least 1")
+    if offset + 4 * k * d > len(data):
+        raise TruncatedPayloadError(f"{path}: truncated {k} x {d} codebook")
+    codebook = Codebook(np.frombuffer(data, "<f4", k * d, offset).reshape(k, d).copy())
+    offset += 4 * k * d
     names, offset = _read_name_table(data, offset, path)
-    (total,), offset = binio.unpack("<I", data, offset, path, "header")
-    cells = grid * grid
-    record = 7 + 2 * cells + 4 * embed_dim * cells
     entries = []
-    for i in range(total):
-        if offset + record > len(data):
-            raise TruncatedPayloadError(f"{path}: truncated at entry {i} of {total}")
-        mod_id, start, label = struct.unpack_from("<HIB", data, offset)
-        offset += 7
-        indices = np.frombuffer(data, dtype="<u2", count=cells,
-                                offset=offset).reshape(grid, grid).copy()
-        offset += 2 * cells
-        quantized = np.frombuffer(data, dtype="<f4", count=embed_dim * cells,
-                                  offset=offset).reshape(embed_dim, grid, grid).copy()
-        offset += 4 * embed_dim * cells
-        if mod_id >= len(names):
-            raise DataError(f"{path}: entry {i} references modality id {mod_id}")
-        entries.append(LatentEntry(names[mod_id], start, int(label), indices,
-                                   quantized))
-    return entries, embed_dim, grid
+    for name, start, label, indices in _read_records(data, offset, path, names,
+                                                     "entry", "<u2", grid * grid):
+        if (indices >= k).any():
+            raise DataError(f"{path}: {name} entry at start {start} holds code "
+                            f"index {int(indices.max())}, codebook has {k} codes")
+        entries.append(LatentEntry(name, start, label,
+                                   indices.reshape(grid, grid).copy()))
+    return entries, codebook
 
 
-def sequences_from_latents(entries: list[LatentEntry], modalities: tuple[str, ...],
+def sequences_from_latents(entries: list[LatentEntry], codebook: Codebook,
+                           modalities: tuple[str, ...],
                            seq_len: int) -> list[SequenceSample]:
     """Align latent entries across modalities and group into sequences."""
     by_mod: dict[str, dict[int, LatentEntry]] = {}
@@ -271,8 +278,8 @@ def sequences_from_latents(entries: list[LatentEntry], modalities: tuple[str, ..
     common = sorted(set.intersection(*(set(by_mod[m]) for m in modalities)))
     if not common:
         raise DataError("no start indices shared by all requested modalities")
-    steps = [fuse({m: by_mod[m][start].quantized for m in modalities}, modalities)
-             for start in common]
+    steps = [fuse({m: codebook.lookup(by_mod[m][s].indices) for m in modalities},
+                  modalities) for s in common]
     labels = [by_mod[modalities[0]][start].label for start in common]
     samples = group_sequences(steps, labels, seq_len)
     if not samples:
@@ -373,9 +380,8 @@ def cmd_encode(args: argparse.Namespace) -> int:
             image = spectral_image(w, cfg.spectral())
             code = encode_image(model, image)
             entries.append(LatentEntry(name, w.start_index, w.label,
-                                       code.indices, code.quantized))
-    from .vqvae import GRID
-    write_latents(args.out, entries, model.embed_dim, GRID)
+                                       code.indices))
+    write_latents(args.out, entries, model.codebook, GRID)
     log.info("encoded %d windows -> %s", len(entries), args.out)
     return 0
 
@@ -391,9 +397,9 @@ def _resolve_modalities(args: argparse.Namespace) -> tuple[str, ...]:
 def cmd_train_classifier(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_file(args.config)
     _log_config(cfg, "train-classifier")
-    entries, embed_dim, grid = read_latents(args.latents)
+    entries, codebook = read_latents(args.latents)
     modalities = _resolve_modalities(args)
-    samples = sequences_from_latents(entries, modalities, cfg.seq_len)
+    samples = sequences_from_latents(entries, codebook, modalities, cfg.seq_len)
     head, curve = train_classifier(
         samples, ClassifierConfig(cfg.lr, cfg.epochs, cfg.batch, cfg.seed))
     save_head(head, args.out)
@@ -408,9 +414,9 @@ def cmd_train_classifier(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_file(args.config)
     _log_config(cfg, "eval")
-    entries, embed_dim, grid = read_latents(args.latents)
+    entries, codebook = read_latents(args.latents)
     modalities = _resolve_modalities(args)
-    samples = sequences_from_latents(entries, modalities, cfg.seq_len)
+    samples = sequences_from_latents(entries, codebook, modalities, cfg.seq_len)
     head = load_head(args.head)
     metrics = evaluate(head, samples, cfg.threshold)
     text = metrics.to_json()
@@ -425,7 +431,6 @@ def _build_synthetic_systems(cfg: RunConfig):
     """Seeded-initialization systems: runtime depends on shapes, not weights."""
     from .vqvae import build_model
     model = build_model(cfg.codebook_size, cfg.embed_dim, cfg.seed)
-    model.frozen = True
     unified = pipeline.UnifiedSystem(model)
     encoders = {}
     all_mods = pipeline.PERMUTATIONS[6]

@@ -284,15 +284,6 @@ def pipeline_cost(kind: str, m: int, embed_dim: int = 16, codebook_size: int = 1
                          "classify": classify}, m, loads)
 
 
-def write_breakdown(path: str, report: CostReport) -> None:
-    """Per-layer CSV: layer,kind,macs,params,fetch_bytes,write_bytes."""
-    with open(path, "w") as fh:
-        fh.write("layer,kind,macs,params,fetch_bytes,write_bytes\n")
-        for r in report.rows:
-            fh.write(f"{r.name},{r.kind},{r.macs},{r.params},"
-                     f"{r.fetch_bytes},{r.write_bytes}\n")
-
-
 # ---------------------------------------------------------------------------
 # Scaling comparison
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ the label active at its last real sample.
 from __future__ import annotations
 
 import csv
+import io
 import logging
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -60,13 +62,6 @@ class Channel:
 
 
 @dataclass
-class SubjectMeta:
-    gender: int | None = None
-    bmi: float | None = None
-    age: float | None = None
-
-
-@dataclass
 class MultimodalStream:
     """A set of channels plus label change points on the sample axis.
 
@@ -76,8 +71,6 @@ class MultimodalStream:
     """
 
     channels: dict[str, Channel]
-    epoch: float = 0.0
-    subject_meta: SubjectMeta = field(default_factory=SubjectMeta)
     labels: list[tuple[int, int]] = field(default_factory=list)
 
     def __post_init__(self):
@@ -101,60 +94,80 @@ class Window:
     label: int
 
 
-def load_stream(path: str, schema: dict[str, str],
-                meta: SubjectMeta | None = None) -> MultimodalStream:
+def _csv_reader(path: str):
+    """csv.reader over a UTF-8 file; a byte that is not UTF-8 is a DataError."""
+    if not os.path.exists(path):
+        raise DataError(f"no such file: {path}")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}: line {line_no}: not valid UTF-8") from None
+
+
+def load_stream(path: str, schema: dict[str, str]) -> MultimodalStream:
     """Parse a CSV file into a MultimodalStream.
 
     schema maps CSV column names to modality names. A column mapped to
-    "label" supplies inline labels (integers 0/1, may be sparse). The
-    timestamp column must be non-decreasing; the channel rate is inferred
-    as (rows - 1) / (t_last - t_first). Errors report 1-based file line
-    numbers (header is line 1).
+    "label" supplies inline labels (0 or 1, may be sparse). The timestamp
+    column must be finite and non-decreasing; the channel rate is inferred
+    as (rows - 1) / (t_last - t_first). Signal values must fit float32,
+    the dataset's sample type. Errors report 1-based file line numbers
+    (header is line 1).
     """
-    if not os.path.exists(path):
-        raise DataError(f"no such file: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if "timestamp" not in header:
-            raise DataError(f"{path}: header has no timestamp column")
-        for col in schema:
-            if col not in header:
-                raise UsageError(f"schema column {col!r} not present in header of {path}")
-        ts_pos = header.index("timestamp")
-        col_pos = {col: header.index(col) for col in schema}
+    reader = _csv_reader(path)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    if "timestamp" not in header:
+        raise DataError(f"{path}: header has no timestamp column")
+    for col in schema:
+        if col not in header:
+            raise UsageError(f"schema column {col!r} not present in header of {path}")
+    ts_pos = header.index("timestamp")
+    col_pos = {col: header.index(col) for col in schema}
+    f32_max = float(np.finfo(np.float32).max)
 
-        times: list[float] = []
-        raw: dict[str, list[float]] = {col: [] for col in schema}
-        miss: dict[str, list[bool]] = {col: [] for col in schema}
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path}: line {line_no}: expected {len(header)} fields, "
-                                f"got {len(row)}")
+    times: list[float] = []
+    raw: dict[str, list[float]] = {col: [] for col in schema}
+    miss: dict[str, list[bool]] = {col: [] for col in schema}
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise DataError(f"{path}: line {line_no}: expected {len(header)} fields, "
+                            f"got {len(row)}")
+        try:
+            t = float(row[ts_pos])
+        except ValueError:
+            t = math.nan
+        if not math.isfinite(t):
+            raise DataError(f"{path}: line {line_no}: bad timestamp "
+                            f"{row[ts_pos]!r}")
+        if times and t < times[-1]:
+            raise DataError(f"{path}: line {line_no}: timestamp {t} decreases")
+        times.append(t)
+        for col, pos in col_pos.items():
+            cell = row[pos].strip()
+            if cell == "":
+                raw[col].append(0.0)
+                miss[col].append(True)
+                continue
             try:
-                t = float(row[ts_pos])
+                v = float(cell)
             except ValueError:
-                raise DataError(f"{path}: line {line_no}: bad timestamp "
-                                f"{row[ts_pos]!r}") from None
-            if times and t < times[-1]:
-                raise DataError(f"{path}: line {line_no}: timestamp {t} decreases")
-            times.append(t)
-            for col, pos in col_pos.items():
-                cell = row[pos].strip()
-                if cell == "":
-                    raw[col].append(0.0)
-                    miss[col].append(True)
-                else:
-                    try:
-                        raw[col].append(float(cell))
-                    except ValueError:
-                        raise DataError(f"{path}: line {line_no}: bad value {cell!r} "
-                                        f"in column {col}") from None
-                    miss[col].append(False)
+                raise DataError(f"{path}: line {line_no}: bad value {cell!r} "
+                                f"in column {col}") from None
+            if schema[col] == "label" and v not in (0.0, 1.0):
+                raise DataError(f"{path}: line {line_no}: label {cell!r} in column "
+                                f"{col} is not 0 or 1")
+            if math.isfinite(v) and abs(v) > f32_max:
+                raise DataError(f"{path}: line {line_no}: value {cell!r} in column "
+                                f"{col} overflows float32")
+            raw[col].append(v)
+            miss[col].append(False)
 
     if not times:
         raise DataError(f"{path}: no data rows")
@@ -170,8 +183,6 @@ def load_stream(path: str, schema: dict[str, str],
                 if m:
                     continue
                 lab = int(v)
-                if lab not in (0, 1):
-                    raise DataError(f"{path}: label {lab} at row index {i} is not 0/1")
                 if lab != prev:
                     labels.append((i, lab))
                     prev = lab
@@ -183,30 +194,26 @@ def load_stream(path: str, schema: dict[str, str],
 
     log.debug("loaded %s: %d rows, %.4g Hz, channels %s", path, n, rate,
               sorted(channels))
-    return MultimodalStream(channels, epoch=times[0],
-                            subject_meta=meta or SubjectMeta(), labels=labels)
+    return MultimodalStream(channels, labels=labels)
 
 
 def load_labels(path: str) -> list[tuple[int, int]]:
     """Read a label CSV with header start_index,label into change points."""
-    if not os.path.exists(path):
-        raise DataError(f"no such file: {path}")
+    reader = _csv_reader(path)
     out: list[tuple[int, int]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["start_index", "label"]:
-            raise DataError(f"{path}: expected header start_index,label")
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                idx, lab = int(row[0]), int(row[1])
-            except (ValueError, IndexError):
-                raise DataError(f"{path}: line {line_no}: malformed label row") from None
-            if lab not in (0, 1):
-                raise DataError(f"{path}: line {line_no}: label must be 0 or 1")
-            if out and idx < out[-1][0]:
-                raise DataError(f"{path}: line {line_no}: start_index decreases")
-            out.append((idx, lab))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != ["start_index", "label"]:
+        raise DataError(f"{path}: expected header start_index,label")
+    for line_no, row in enumerate(reader, start=2):
+        try:
+            idx, lab = int(row[0]), int(row[1])
+        except (ValueError, IndexError):
+            raise DataError(f"{path}: line {line_no}: malformed label row") from None
+        if lab not in (0, 1):
+            raise DataError(f"{path}: line {line_no}: label must be 0 or 1")
+        if out and idx < out[-1][0]:
+            raise DataError(f"{path}: line {line_no}: start_index decreases")
+        out.append((idx, lab))
     return out
 
 
@@ -337,8 +344,7 @@ def prepare_stream(stream: MultimodalStream, target_rate: float) -> MultimodalSt
         new_len = len(resampled) if new_len is None else min(new_len, len(resampled))
     any_rate = next(iter(stream.channels.values())).rate_hz if stream.channels else 1.0
     labels = rescale_label_indices(stream.labels, any_rate, target_rate, new_len or 1)
-    return MultimodalStream(channels, epoch=stream.epoch,
-                            subject_meta=stream.subject_meta, labels=labels)
+    return MultimodalStream(channels, labels=labels)
 
 
 def window_stream(stream: MultimodalStream, window_len: int = DEFAULT_WINDOW_LEN,

@@ -116,17 +116,6 @@ def seed_rng(seed: int) -> Rng:
 # Layer descriptors and shape algebra
 # ---------------------------------------------------------------------------
 
-LAYER_KINDS = (
-    "conv2d",
-    "conv_transpose2d",
-    "dense",
-    "relu",
-    "sigmoid",
-    "residual_block",
-    "recurrent_cell",
-)
-
-
 @dataclass(frozen=True)
 class LayerDescriptor:
     """Static description of one layer: kind, hyperparameters, param shapes."""

@@ -102,8 +102,7 @@ def derive_acc_magnitude(stream: MultimodalStream) -> MultimodalStream:
     mag = np.sqrt(sum(a.values[:n] ** 2 for a in axes))
     channels = dict(stream.channels)
     channels["Acc"] = Channel("Acc", axes[0].rate_hz, mag)
-    return MultimodalStream(channels, epoch=stream.epoch,
-                            subject_meta=stream.subject_meta, labels=stream.labels)
+    return MultimodalStream(channels, labels=stream.labels)
 
 
 def encoder_loads(system, modalities: tuple[str, ...]) -> int:
@@ -128,7 +127,6 @@ def stream_to_sequences(system, stream: MultimodalStream,
         if m not in stream.channels:
             raise DataError(f"stream has no channel {m!r}")
     sub = MultimodalStream({m: stream.channels[m] for m in modalities},
-                           epoch=stream.epoch, subject_meta=stream.subject_meta,
                            labels=stream.labels)
     per_channel = window_stream(sub, cfg.window_len, cfg.stride)
     counts = {m: len(ws) for m, ws in per_channel.items()}

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 from typing import Collection
@@ -29,8 +28,7 @@ import numpy as np
 
 from . import binio
 from . import nnkernel as nn
-from .errors import (BadMagicError, DataError, NumericError,
-                     TruncatedPayloadError, UsageError, VersionError)
+from .errors import DataError, NumericError, TruncatedPayloadError, UsageError
 from .spectral import IMAGE_SIZE, SpectralImage
 
 log = logging.getLogger(__name__)
@@ -55,6 +53,11 @@ class Codebook:
     @property
     def d(self) -> int:
         return self.entries.shape[1]
+
+    def lookup(self, indices: np.ndarray) -> np.ndarray:
+        """The (D, h, w) tensor whose cell (i, j) is row indices[i, j], bitwise."""
+        h, w = indices.shape
+        return self.entries[indices.reshape(-1)].T.reshape(self.d, h, w)
 
 
 @dataclass
@@ -92,7 +95,6 @@ class VqVaeModel:
     decoder: list[nn.LayerDescriptor]
     store: nn.ParamStore
     codebook: Codebook
-    frozen: bool = False
 
     @property
     def embed_dim(self) -> int:
@@ -157,9 +159,8 @@ def quantize(z_e: np.ndarray, codebook: Codebook,
     d, h, w = z_e.shape
     if d != codebook.d:
         raise UsageError(f"latent dim {d} does not match codebook dim {codebook.d}")
-    indices = _nearest_codes(z_e.reshape(d, h * w).T, codebook.entries)
-    quantized = codebook.entries[indices].T.reshape(d, h, w)
-    return LatentCode(indices.reshape(h, w), quantized, source)
+    indices = _nearest_codes(z_e.reshape(d, h * w).T, codebook.entries).reshape(h, w)
+    return LatentCode(indices, codebook.lookup(indices), source)
 
 
 def _nearest_codes(vecs: np.ndarray, entries: np.ndarray) -> np.ndarray:
@@ -257,7 +258,7 @@ def train_vqvae(dataset: list[SpectralImage] | np.ndarray,
                 cfg: VqVaeConfig = VqVaeConfig()) -> tuple[VqVaeModel, list[VqLossReport]]:
     """Train a fresh model on a set of 3x128x128 images.
 
-    Returns the frozen model and one VqLossReport per step, evaluated on
+    Returns the trained model and one VqLossReport per step, evaluated on
     that step's batch before its parameter update (so curve[0] reflects the
     seeded initialization). Batches are drawn with replacement from a
     deterministic stream; equal configs give bitwise-equal models.
@@ -317,7 +318,6 @@ def train_vqvae(dataset: list[SpectralImage] | np.ndarray,
             last_used[dead] = step
             log.debug("step %d: re-seeded %d dead codes", step, dead.size)
 
-    model.frozen = True
     return model, curve
 
 
@@ -350,16 +350,9 @@ def write_tensors(path: str, tensors: dict[str, np.ndarray]) -> None:
 
 
 def read_tensors(path: str) -> dict[str, np.ndarray]:
-    if not os.path.exists(path):
-        raise DataError(f"no such weight file: {path}")
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != _WEIGHTS_MAGIC:
-        raise BadMagicError(f"{path}: expected magic {_WEIGHTS_MAGIC!r}, "
-                            f"got {data[:4]!r}")
-    (version, count), offset = binio.unpack("<II", data, 4, path, "header")
-    if version != _WEIGHTS_VERSION:
-        raise VersionError(f"{path}: unsupported weight file version {version}")
+    data, offset = binio.read_file(path, _WEIGHTS_MAGIC, _WEIGHTS_VERSION,
+                                   "weight file", "re-run the training command")
+    (count,), offset = binio.unpack("<I", data, offset, path, "header")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         what = f"header of tensor {len(tensors)}"
@@ -416,7 +409,7 @@ def load_into(store: nn.ParamStore, tensors: dict[str, np.ndarray], path: str,
 
 
 def load_model(path: str) -> VqVaeModel:
-    """Rebuild a frozen model from a weight file.
+    """Rebuild a model from a weight file.
 
     The architecture is implied by the codebook shape (K, D); decoder
     weights are optional (their absence means an inference-only model).
@@ -434,5 +427,4 @@ def load_model(path: str) -> VqVaeModel:
     has_decoder = any(name.startswith("dec.") for name in tensors)
     model = build_model(k, d, seed=0, with_decoder=has_decoder)
     load_into(model.store, tensors, path)
-    model.frozen = True
     return model

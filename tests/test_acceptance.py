@@ -68,7 +68,7 @@ def encoded_streams(trained_autoencoder):
             for w in per[m]:
                 code = vqvae.encode_image(model, spectral_image(w))
                 entries.append(LatentEntry(m, w.start_index, w.label,
-                                           code.indices, code.quantized))
+                                           code.indices))
         return entries
 
     return entries_for(10), entries_for(11)
@@ -134,7 +134,6 @@ def test_acceptance_02_complexity_trend():
 
 def test_acceptance_03_runtime_trend():
     model = vqvae.build_model(128, 16, seed=0)
-    model.frozen = True
     unified = pipeline.UnifiedSystem(model)
     encoders = {}
     for i, name in enumerate(pipeline.PERMUTATIONS[6]):
@@ -341,7 +340,7 @@ def test_acceptance_07_desk_scale_learning(trained_autoencoder):
 # 8. End-to-end synthetic fusion
 # ---------------------------------------------------------------------------
 
-def test_acceptance_08_fusion_stability(encoded_streams):
+def test_acceptance_08_fusion_stability(trained_autoencoder, encoded_streams):
     """Mean rank AUC over five head initialisations must not drop by more
     than 0.05 as modalities are added, nor by more than 0.10 once Noise
     joins the six.
@@ -353,11 +352,12 @@ def test_acceptance_08_fusion_stability(encoded_streams):
     and flip with the head seed and the BLAS kernel, and one flip moves
     accuracy by 0.048.
     """
+    _, model, _ = trained_autoencoder
     train_entries, eval_entries = encoded_streams
 
     def metrics_for(mods):
-        tr = sequences_from_latents(train_entries, mods, seq_len=4)
-        ev = sequences_from_latents(eval_entries, mods, seq_len=4)
+        tr = sequences_from_latents(train_entries, model.codebook, mods, seq_len=4)
+        ev = sequences_from_latents(eval_entries, model.codebook, mods, seq_len=4)
         out = []
         for seed in range(5):
             head, _ = fusion.train_classifier(

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from latentfuse import cli
+from latentfuse import cli, vqvae
 from latentfuse.cli import (LatentEntry, RunConfig, main, read_dataset,
                             read_latents, sequences_from_latents,
                             write_dataset, write_latents)
@@ -17,7 +17,7 @@ from latentfuse.errors import (BadMagicError, DataError,
                                VersionError)
 from latentfuse.ingest import Window
 from latentfuse.spectral import SpectralImage, save_image
-from latentfuse.synthetic import make_stream
+from latentfuse.synthetic import make_images, make_stream
 
 
 # ---------------------------------------------------------------------------
@@ -140,32 +140,42 @@ def test_dataset_truncation(tmp_path):
 # Latent container
 # ---------------------------------------------------------------------------
 
+# a K=50, D=4 codebook for the 3 x 3 sample entries
+CODEBOOK = vqvae.Codebook(
+    np.random.default_rng(8).normal(0, 1, (50, 4)).astype(np.float32))
+
+
 def _sample_entries(starts=(0, 96), labels=None, modalities=("ECG", "EMG"),
-                    d=4, grid=3, seed=9):
+                    grid=3, seed=9):
     rs = np.random.default_rng(seed)
     labels = labels if labels is not None else [0] * len(starts)
     entries = []
     for name in modalities:
         for start, label in zip(starts, labels):
-            idx = rs.integers(0, 50, (grid, grid)).astype(np.uint16)
-            quant = rs.normal(0, 1, (d, grid, grid)).astype(np.float32)
-            entries.append(LatentEntry(name, start, label, idx, quant))
+            idx = rs.integers(0, CODEBOOK.k, (grid, grid)).astype(np.uint16)
+            entries.append(LatentEntry(name, start, label, idx))
     return entries
 
 
 def test_latents_round_trip(tmp_path):
-    entries = _sample_entries()
+    model = vqvae.build_model(128, 16, seed=3)
+    images = [SpectralImage(px, ("ECG", 96 * i))
+              for i, px in enumerate(make_images(3, seed=4))]
+    codes = [vqvae.encode_image(model, im) for im in images]
+    entries = [LatentEntry("ECG", 96 * i, i % 2, c.indices)
+               for i, c in enumerate(codes)]
     path = tmp_path / "codes.lsfl"
-    write_latents(str(path), entries, 4, 3)
-    back, embed_dim, grid = read_latents(str(path))
-    assert (embed_dim, grid) == (4, 3)
-    assert len(back) == len(entries)
-    by_key = {(e.modality, e.start): e for e in back}
-    for e in entries:
-        got = by_key[(e.modality, e.start)]
-        assert got.label == e.label
-        np.testing.assert_array_equal(got.indices, e.indices)
-        np.testing.assert_array_equal(got.quantized, e.quantized)
+    write_latents(str(path), entries, model.codebook, vqvae.GRID)
+    back, codebook = read_latents(str(path))
+    assert codebook.entries.tobytes() == model.codebook.entries.tobytes()
+    assert [(e.modality, e.start, e.label) for e in back] == \
+        [(e.modality, e.start, e.label) for e in entries]
+    for got, code in zip(back, codes):
+        np.testing.assert_array_equal(got.indices, code.indices)
+        # the quantized tensor the encoder produced, rebuilt bitwise
+        rebuilt = codebook.lookup(got.indices)
+        assert rebuilt.dtype == code.quantized.dtype
+        assert rebuilt.tobytes() == code.quantized.tobytes()
 
 
 def test_latents_bad_magic(tmp_path):
@@ -177,7 +187,7 @@ def test_latents_bad_magic(tmp_path):
 
 def test_latents_bad_version(tmp_path):
     path = tmp_path / "codes.lsfl"
-    write_latents(str(path), _sample_entries(), 4, 3)
+    write_latents(str(path), _sample_entries(), CODEBOOK, 3)
     raw = bytearray(path.read_bytes())
     raw[4:8] = struct.pack("<I", 7)
     path.write_bytes(bytes(raw))
@@ -187,7 +197,7 @@ def test_latents_bad_version(tmp_path):
 
 def test_latents_truncation(tmp_path):
     path = tmp_path / "codes.lsfl"
-    write_latents(str(path), _sample_entries(), 4, 3)
+    write_latents(str(path), _sample_entries(), CODEBOOK, 3)
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     with pytest.raises(TruncatedPayloadError, match="entry"):
@@ -201,10 +211,13 @@ def test_latents_missing_file():
 
 def test_latents_bad_modality_id(tmp_path, capsys):
     path = tmp_path / "codes.lsfl"
-    write_latents(str(path), _sample_entries(starts=(0,), modalities=("ECG",)), 4, 3)
+    write_latents(str(path), _sample_entries(starts=(0,), modalities=("ECG",)),
+                  CODEBOOK, 3)
     raw = bytearray(path.read_bytes())
-    # header, one-name table ("ECG"), entry count, then the entry's modality id
-    struct.pack_into("<H", raw, 16 + 2 + 2 + len("ECG") + 4, 5)
+    # header, codebook, one-name table ("ECG"), entry count, then the entry's
+    # modality id
+    at = 20 + CODEBOOK.entries.nbytes + 2 + 2 + len("ECG") + 4
+    struct.pack_into("<H", raw, at, 5)
     path.write_bytes(bytes(raw))
     with pytest.raises(DataError, match="modality id 5"):
         read_latents(str(path))
@@ -218,7 +231,7 @@ def _write_sample_container(path, fmt):
     if fmt == "lsfd":
         write_dataset(str(path), _sample_windows(), 16)
         return read_dataset
-    write_latents(str(path), _sample_entries(), 4, 3)
+    write_latents(str(path), _sample_entries(), CODEBOOK, 3)
     return read_latents
 
 
@@ -254,6 +267,19 @@ def test_container_flipped_anywhere_reads_or_is_data_error(tmp_path, fmt):
     assert rejected >= 16
 
 
+@pytest.mark.parametrize("fmt", ["lsfd", "lsfl"])
+def test_container_label_past_one_is_data_error(tmp_path, fmt):
+    path = tmp_path / f"x.{fmt}"
+    read = _write_sample_container(path, fmt)
+    raw = bytearray(path.read_bytes())
+    # the last record's label byte: its modality id and start come first
+    record = 7 + (4 * 16 if fmt == "lsfd" else 2 * 3 * 3)
+    raw[len(raw) - record + 6] = 2
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="label 2"):
+        read(str(path))
+
+
 def test_dataset_name_not_utf8_exits_two(tmp_path, capsys):
     path = tmp_path / "data.lsfd"
     write_dataset(str(path), _sample_windows(), 16)
@@ -267,13 +293,45 @@ def test_dataset_name_not_utf8_exits_two(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_latents_code_index_past_codebook_exits_two(tmp_path, capsys):
+    path = tmp_path / "codes.lsfl"
+    write_latents(str(path), _sample_entries(), CODEBOOK, 3)
+    raw = bytearray(path.read_bytes())
+    # the last u16 of the file is the last entry's last code index
+    struct.pack_into("<H", raw, len(raw) - 2, CODEBOOK.k)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match=f"code index {CODEBOOK.k}.*50 codes"):
+        read_latents(str(path))
+    code = main(["eval", "--latents", str(path), "--head", str(tmp_path / "h.lsfw"),
+                 "--modalities", "ECG"])
+    assert code == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_latents_version_one_is_version_error(tmp_path):
+    path = tmp_path / "codes.lsfl"
+    write_latents(str(path), _sample_entries(), CODEBOOK, 3)
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(VersionError, match="version 1; re-run encode"):
+        read_latents(str(path))
+
+
+def test_latents_codebook_too_large_for_u16_is_usage_error(tmp_path):
+    codebook = vqvae.Codebook(np.zeros((65537, 1), dtype=np.float32))
+    path = tmp_path / "codes.lsfl"
+    with pytest.raises(UsageError, match="65537"):
+        write_latents(str(path), _sample_entries(), codebook, 3)
+
+
 # ---------------------------------------------------------------------------
 # Aligning latents into sequences
 # ---------------------------------------------------------------------------
 
 def test_sequences_align_and_label():
     entries = _sample_entries(starts=(0, 96, 192, 288), labels=[0, 0, 1, 1])
-    samples = sequences_from_latents(entries, ("ECG", "EMG"), seq_len=2)
+    samples = sequences_from_latents(entries, CODEBOOK, ("ECG", "EMG"), seq_len=2)
     assert len(samples) == 2
     # the sequence takes the label of its last step
     assert [s.label for s in samples] == [0, 1]
@@ -281,27 +339,29 @@ def test_sequences_align_and_label():
     # fused channel order follows the requested modality order
     by_key = {(e.modality, e.start): e for e in entries}
     first = samples[0].steps[0].tensor
-    np.testing.assert_array_equal(first[:4], by_key[("ECG", 0)].quantized)
-    np.testing.assert_array_equal(first[4:], by_key[("EMG", 0)].quantized)
+    np.testing.assert_array_equal(first[:4],
+                                  CODEBOOK.lookup(by_key[("ECG", 0)].indices))
+    np.testing.assert_array_equal(first[4:],
+                                  CODEBOOK.lookup(by_key[("EMG", 0)].indices))
 
 
 def test_sequences_missing_modality():
     entries = _sample_entries(modalities=("ECG",))
     with pytest.raises(DataError, match="EMG"):
-        sequences_from_latents(entries, ("ECG", "EMG"), seq_len=1)
+        sequences_from_latents(entries, CODEBOOK, ("ECG", "EMG"), seq_len=1)
 
 
 def test_sequences_disjoint_starts():
     a = _sample_entries(starts=(0, 96), modalities=("ECG",))
     b = _sample_entries(starts=(48, 144), modalities=("EMG",))
     with pytest.raises(DataError, match="no start indices"):
-        sequences_from_latents(a + b, ("ECG", "EMG"), seq_len=1)
+        sequences_from_latents(a + b, CODEBOOK, ("ECG", "EMG"), seq_len=1)
 
 
 def test_sequences_too_short_for_seq_len():
     entries = _sample_entries(starts=(0, 96))
     with pytest.raises(DataError, match="seq_len"):
-        sequences_from_latents(entries, ("ECG", "EMG"), seq_len=5)
+        sequences_from_latents(entries, CODEBOOK, ("ECG", "EMG"), seq_len=5)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +405,9 @@ def test_exit_one_on_usage_error(tmp_path, capsys):
     ("seed=1;codebook_size=0", 2), ("embed_dim=0", 1), ("window_len=0", 1),
     ("frame_len=0", 1), ("steps=-1", 1), ("stride=0", 1), ("stride=200", 1),
     ("window_len=64", 1), ("stride=100;seed=3;window_len=99", 3),
+    ("floor_db=nan", 1), ("seed=1;beta=inf", 2), ("lr=0", 1), ("lr=-1e-3", 1),
+    ("beta=-0.25", 1), ("resample_hz=-5", 1), ("energy_per_mac=-1e-12", 1),
+    ("threshold=1.5", 1), ("threshold=-0.1", 1), ("threshold=nan", 1),
 ])
 def test_exit_one_on_out_of_range_config(tmp_path, capsys, text, line):
     cfg = tmp_path / "run.cfg"
@@ -355,6 +418,32 @@ def test_exit_one_on_out_of_range_config(tmp_path, capsys, text, line):
                  "--config", str(cfg)])
     assert code == 1
     assert f"line {line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("csv_lines,label_lines,line", [
+    ([b"2,0.5,nan"], None, 3),
+    ([b"2,0.5,inf"], None, 3),
+    ([b"2,0.5,1.5"], None, 3),
+    ([b"nan,0.5,1"], None, 3),
+    ([b"2,1e308,1"], None, 3),
+    ([b"2,0.5,1", b"3,0.\xff5,1"], None, 4),
+    ([], [b"0,0", b"\xff2,1"], 3),
+])
+def test_ingest_hostile_csv_exits_two_naming_the_line(tmp_path, capsys, csv_lines,
+                                                      label_lines, line):
+    csv_path = tmp_path / "stream.csv"
+    csv_path.write_bytes(b"\n".join([b"timestamp,ecg,state", b"1,0.25,0"]
+                                    + csv_lines) + b"\n")
+    args = ["ingest", "--csv", str(csv_path), "--schema", "ecg=ECG,state=label",
+            "--out", str(tmp_path / "x.lsfd")]
+    if label_lines is not None:
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes(b"\n".join([b"start_index,label"] + label_lines) + b"\n")
+        args += ["--labels", str(labels)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err
+    assert f"line {line}:" in err
 
 
 def test_exit_one_on_bad_subcommand(capsys):
@@ -442,13 +531,13 @@ def test_pipeline_window_lattice(workdir):
 
 
 def test_pipeline_latents_match_dataset(workdir):
-    entries, embed_dim, grid = read_latents(str(workdir / "codes.lsfl"))
-    assert (embed_dim, grid) == (16, 16)
+    entries, codebook = read_latents(str(workdir / "codes.lsfl"))
+    assert (codebook.k, codebook.d) == (128, 16)
     assert len(entries) == 22
     assert {e.modality for e in entries} == {"ECG", "EMG"}
     for e in entries:
         assert e.indices.shape == (16, 16)
-        assert e.quantized.shape == (16, 16, 16)
+        assert codebook.lookup(e.indices).shape == (16, 16, 16)
         assert e.indices.max() < 128
 
 

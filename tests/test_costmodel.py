@@ -299,13 +299,3 @@ def test_write_scaling_table_csv(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "1"
     assert int(first[1]) > 0
-
-
-def test_write_breakdown_csv(tmp_path):
-    report = costmodel.pipeline_cost("unified", 1).stages["encode"]
-    path = tmp_path / "breakdown.csv"
-    costmodel.write_breakdown(str(path), report)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "layer,kind,macs,params,fetch_bytes,write_bytes"
-    total = sum(int(line.split(",")[2]) for line in lines[1:])
-    assert total == report.macs

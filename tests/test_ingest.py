@@ -29,7 +29,6 @@ def test_load_stream_basic(tmp_path):
     assert not ecg.missing.any()
     eda = stream.channels["EDA"]
     assert eda.missing.tolist() == [False, True, False, False]
-    assert stream.epoch == 0.0
 
 
 def test_load_stream_inline_labels(tmp_path):
