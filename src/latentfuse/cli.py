@@ -24,6 +24,7 @@ import argparse
 import dataclasses
 import logging
 import os
+import statistics
 import struct
 import sys
 
@@ -52,10 +53,10 @@ EXIT_CODES = {UsageError: 1, DataError: 2, NumericError: 3}
 
 
 # smallest accepted value of each range-checked config key
-_MINIMUM = {"window_len": 1, "stride": 1, "frame_len": 1, "codebook_size": 2,
-            "embed_dim": 1, "steps": 0, "batch": 1, "epochs": 1, "seq_len": 1,
-            "beta": 0.0, "resample_hz": 0.0, "energy_per_mac": 0.0,
-            "threshold": 0.0}
+_MINIMUM = {"window_len": 1, "stride": 1, "frame_len": 1, "hop": 1,
+            "codebook_size": 2, "embed_dim": 1, "steps": 0, "batch": 1,
+            "epochs": 1, "seq_len": 1, "beta": 0.0, "resample_hz": 0.0,
+            "energy_per_mac": 0.0, "threshold": 0.0}
 
 
 def _out_of_range(key: str, value) -> str | None:
@@ -64,6 +65,8 @@ def _out_of_range(key: str, value) -> str | None:
         return "must be finite"
     if key in _MINIMUM and value < _MINIMUM[key]:
         return f"must be at least {_MINIMUM[key]}"
+    if key == "frame_len" and value % 2:
+        return "must be even"
     if key == "lr" and value <= 0:
         return "must be positive"
     if key == "threshold" and value > 1:
@@ -129,16 +132,18 @@ class RunConfig:
             line_no = max(lines.get("stride", 0), lines.get("window_len", 0))
             raise UsageError(f"{path}: line {line_no}: stride {cfg.stride} exceeds "
                              f"window_len {cfg.window_len}")
+        if cfg.frame_len > cfg.window_len:
+            line_no = max(lines.get("frame_len", 0), lines.get("window_len", 0))
+            raise UsageError(f"{path}: line {line_no}: frame_len {cfg.frame_len} "
+                             f"exceeds window_len {cfg.window_len}")
         return cfg
 
     def spectral(self) -> SpectralConfig:
         return SpectralConfig(self.frame_len, self.hop, self.taper, self.floor_db)
 
     def pipeline(self) -> pipeline.PipelineConfig:
-        return pipeline.PipelineConfig(
-            self.window_len, self.stride, self.seq_len, self.threshold,
-            self.spectral(), self.embed_dim, self.codebook_size,
-            self.energy_per_mac)
+        return pipeline.PipelineConfig(self.window_len, self.stride, self.seq_len,
+                                       self.spectral())
 
 
 def _log_config(cfg: RunConfig, command: str) -> None:
@@ -444,11 +449,10 @@ def _build_synthetic_systems(cfg: RunConfig):
 def _bench_metrics_rows(cfg: RunConfig) -> list[dict]:
     """Train and evaluate the unified pipeline per fusion size on synthetic data."""
     from .synthetic import make_images, make_stream
-    from .vqvae import train_vqvae as _train
 
     vq_cfg = VqVaeConfig(cfg.codebook_size, cfg.embed_dim, cfg.beta, cfg.lr,
                          cfg.steps, cfg.batch, cfg.seed)
-    model, _ = _train(make_images(64, cfg.seed), vq_cfg)
+    model, _ = train_vqvae(make_images(64, cfg.seed), vq_cfg)
     system = pipeline.UnifiedSystem(model)
     pcfg = cfg.pipeline()
     train_stream = make_stream(seed=cfg.seed + 10)
@@ -470,6 +474,8 @@ def _bench_metrics_rows(cfg: RunConfig) -> list[dict]:
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_file(args.config)
     _log_config(cfg, "bench")
+    if args.repeat < 1:
+        raise UsageError(f"--repeat must be at least 1, got {args.repeat}")
     os.makedirs(args.out_dir, exist_ok=True)
     pcfg = cfg.pipeline()
 
@@ -488,40 +494,35 @@ def cmd_bench(args: argparse.Namespace) -> int:
             encoders[name] = baseline_mod.load_extractor(path, name, cfg.embed_dim)
         base = baseline_mod.BaselineSystem(encoders, head=None)
 
-    rows, runs = costmodel.scaling_table(
-        m_values=(1, 2, 3, 4, 5, 6),
-        time_unified=lambda m: pipeline.encoding_timer(unified, m, pcfg),
-        time_baseline=lambda m: pipeline.encoding_timer(base, m, pcfg),
-        repeat=args.repeat, embed_dim=cfg.embed_dim,
-        codebook_size=cfg.codebook_size, seq_len=1, window_len=cfg.window_len,
-        spectral_cfg=cfg.spectral(), energy_per_mac=cfg.energy_per_mac)
+    rows = costmodel.scaling_table((1, 2, 3, 4, 5, 6), cfg.embed_dim,
+                                   cfg.codebook_size, 1, cfg.window_len,
+                                   cfg.spectral())
+    runs = []
+    for row in rows:
+        for name, system in (("unified", unified), ("baseline", base)):
+            seconds = pipeline.encoding_runs(system, row["m"], args.repeat, pcfg)
+            row[f"runtime_s_{name}"] = statistics.median(seconds)
+            row[f"{name}_energy_j"] = f"{row[f'{name}_macs'] * cfg.energy_per_mac:.6e}"
+            runs += [{"m": row["m"], "system": name, "run": i, "seconds": f"{t:.9f}"}
+                     for i, t in enumerate(seconds)]
 
-    costmodel.write_scaling_table(os.path.join(args.out_dir, "scaling_table.csv"),
-                                  rows)
-    with open(os.path.join(args.out_dir, "fig3_runtime.csv"), "w") as fh:
-        fh.write("m,runtime_s_unified,runtime_s_baseline\n")
-        for row in rows:
-            fh.write(f"{row['m']},{row['runtime_s_unified']},"
-                     f"{row['runtime_s_baseline']}\n")
-    with open(os.path.join(args.out_dir, "fig3_runs.csv"), "w") as fh:
-        fh.write("m,system,run,seconds\n")
-        for m, system, i, seconds in runs:
-            fh.write(f"{m},{system},{i},{seconds:.9f}\n")
-    with open(os.path.join(args.out_dir, "fig5_macs.csv"), "w") as fh:
-        fh.write("m,unified_macs,baseline_macs,unified_energy_j,baseline_energy_j\n")
-        for row in rows:
-            fh.write(f"{row['m']},{row['unified_macs']},{row['baseline_macs']},"
-                     f"{row['unified_macs'] * cfg.energy_per_mac:.6e},"
-                     f"{row['baseline_macs'] * cfg.energy_per_mac:.6e}\n")
+    def write(filename: str, cols: list[str], table: list[dict]) -> None:
+        with open(os.path.join(args.out_dir, filename), "w") as fh:
+            fh.write(",".join(cols) + "\n")
+            for row in table:
+                fh.write(",".join(str(row[c]) for c in cols) + "\n")
 
+    write("scaling_table.csv", ["m", "unified_macs", "baseline_macs", "unified_params",
+                                "baseline_params", "unified_loads", "baseline_loads",
+                                "runtime_s_unified", "runtime_s_baseline"], rows)
+    write("fig3_runtime.csv", ["m", "runtime_s_unified", "runtime_s_baseline"], rows)
+    write("fig3_runs.csv", ["m", "system", "run", "seconds"], runs)
+    write("fig5_macs.csv", ["m", "unified_macs", "baseline_macs", "unified_energy_j",
+                            "baseline_energy_j"], rows)
     if args.skip_metrics:
         log.info("skipping fig4 metrics (--skip-metrics)")
     else:
-        metrics_rows = _bench_metrics_rows(cfg)
-        with open(os.path.join(args.out_dir, "fig4_metrics.csv"), "w") as fh:
-            fh.write("m,accuracy,f1,auc\n")
-            for row in metrics_rows:
-                fh.write(f"{row['m']},{row['accuracy']},{row['f1']},{row['auc']}\n")
+        write("fig4_metrics.csv", ["m", "accuracy", "f1", "auc"], _bench_metrics_rows(cfg))
     log.info("benchmark data written to %s", args.out_dir)
     return 0
 
@@ -615,15 +616,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
+    except tuple(EXIT_CODES) as exc:
+        base = next(cls for cls in EXIT_CODES if isinstance(exc, cls))
+        # UsageError -> "usage error", DataError -> "data error", ...
+        print(f"{base.__name__.removesuffix('Error').lower()} error: {exc}",
+              file=sys.stderr)
+        return EXIT_CODES[base]
 
 
 if __name__ == "__main__":

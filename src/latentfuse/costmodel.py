@@ -1,4 +1,4 @@
-"""Analytic cost accounting: MACs, parameters, memory traffic, modeled energy.
+"""Analytic cost accounting: MACs, parameters and memory traffic.
 
 Conventions (documented with worked examples in docs/costmodel.md):
 - MACs count multiplications only; adds, comparisons, and table lookups are
@@ -8,8 +8,9 @@ Conventions (documented with worked examples in docs/costmodel.md):
 - Memory traffic per layer: fetch = input elements * batch * 4 bytes plus
   parameter elements * 4 bytes (parameters are fetched once per batch, not
   per sample); write = output elements * batch * 4 bytes.
-- Energy is macs * energy_per_mac with a pinned default of 4.6 pJ per MAC,
-  a modeling constant, not a measurement.
+- Energy is priced once, at the bench output, as macs * energy_per_mac;
+  ENERGY_PER_MAC (4.6 pJ) is the config default, a modeling constant, not
+  a measurement.
 - All counts are exact Python integers, so per-modality additivity holds
   with zero rounding error; this is what makes the emitted scaling columns
   exactly linear in the modality count.
@@ -22,10 +23,8 @@ multiplications-only convention.
 from __future__ import annotations
 
 import logging
-import statistics
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import nnkernel as nn
 from .baseline import build_feature_stack
@@ -53,7 +52,6 @@ class CostRow:
 @dataclass
 class CostReport:
     rows: list[CostRow] = field(default_factory=list)
-    energy_per_mac: float = ENERGY_PER_MAC
 
     @property
     def macs(self) -> int:
@@ -70,10 +68,6 @@ class CostReport:
     @property
     def write_bytes(self) -> int:
         return sum(r.write_bytes for r in self.rows)
-
-    @property
-    def energy_j(self) -> float:
-        return self.macs * self.energy_per_mac
 
     def extend(self, other: "CostReport") -> None:
         self.rows.extend(other.rows)
@@ -100,10 +94,6 @@ class PipelineCost:
     @property
     def total_write_bytes(self) -> int:
         return sum(s.write_bytes for s in self.stages.values())
-
-    @property
-    def total_energy_j(self) -> float:
-        return sum(s.energy_j for s in self.stages.values())
 
 
 def _shape_elems(shape: tuple[int, ...]) -> int:
@@ -137,12 +127,8 @@ def layer_macs(desc: nn.LayerDescriptor, in_shape: tuple[int, ...]) -> int:
     raise UsageError(f"unknown layer kind: {desc.kind}")
 
 
-def layer_params(desc: nn.LayerDescriptor) -> int:
-    return nn.param_count(desc)
-
-
 def memory_traffic(desc: nn.LayerDescriptor, in_shape: tuple[int, ...],
-                   batch: int = 1, elem_bytes: int = ELEM_BYTES) -> tuple[int, int]:
+                   batch: int = 1) -> tuple[int, int]:
     """(fetch_bytes, write_bytes) for one layer at the given batch size."""
     if desc.kind == "recurrent_cell":
         in_elems = desc.in_features + desc.hidden
@@ -150,8 +136,8 @@ def memory_traffic(desc: nn.LayerDescriptor, in_shape: tuple[int, ...],
     else:
         in_elems = _shape_elems(in_shape)
         out_elems = _shape_elems(nn.out_shape(desc, in_shape))
-    fetch = in_elems * batch * elem_bytes + layer_params(desc) * elem_bytes
-    write = out_elems * batch * elem_bytes
+    fetch = (in_elems * batch + nn.param_count(desc)) * ELEM_BYTES
+    write = out_elems * batch * ELEM_BYTES
     return fetch, write
 
 
@@ -160,13 +146,13 @@ def layer_cost(desc: nn.LayerDescriptor, in_shape: tuple[int, ...],
     fetch, write = memory_traffic(desc, in_shape, batch)
     name = desc.name or desc.kind
     return CostRow(name, desc.kind, layer_macs(desc, in_shape) * batch,
-                   layer_params(desc), fetch, write)
+                   nn.param_count(desc), fetch, write)
 
 
 def stack_cost(descs: Sequence[nn.LayerDescriptor], in_shape: tuple[int, ...],
-               batch: int = 1, energy_per_mac: float = ENERGY_PER_MAC) -> CostReport:
+               batch: int = 1) -> CostReport:
     """Per-layer cost rows for a feed-forward stack."""
-    report = CostReport(energy_per_mac=energy_per_mac)
+    report = CostReport()
     shape = in_shape
     for d in descs:
         report.rows.append(layer_cost(d, shape, batch))
@@ -174,8 +160,8 @@ def stack_cost(descs: Sequence[nn.LayerDescriptor], in_shape: tuple[int, ...],
     return report
 
 
-def preprocess_cost(window_len: int = 128, cfg: SpectralConfig = SpectralConfig(),
-                    energy_per_mac: float = ENERGY_PER_MAC) -> CostReport:
+def preprocess_cost(window_len: int = 128,
+                    cfg: SpectralConfig = SpectralConfig()) -> CostReport:
     """Pinned operation counts for one window -> spectral image conversion.
 
     Conventions per element: complex DFT term 4 mults; |z| then dB 3;
@@ -198,7 +184,7 @@ def preprocess_cost(window_len: int = 128, cfg: SpectralConfig = SpectralConfig(
         CostRow("colormap", "preprocess", 6 * ft, 0, (ft + 256 * 3) * b, 3 * ft * b),
         CostRow("resize", "preprocess", 4 * 3 * img, 0, 3 * ft * b, 3 * img * b),
     ]
-    return CostReport(rows, energy_per_mac)
+    return CostReport(rows)
 
 
 def quantize_cost(embed_dim: int, codebook_size: int, batch: int = 1,
@@ -214,29 +200,26 @@ def quantize_cost(embed_dim: int, codebook_size: int, batch: int = 1,
 
 
 def head_cost(in_channels: int, seq_len: int = 1, grid: int = GRID,
-              hidden: int = HEAD_HIDDEN,
-              energy_per_mac: float = ENERGY_PER_MAC) -> CostReport:
+              hidden: int = HEAD_HIDDEN) -> CostReport:
     """Classifier head cost for one sequence of seq_len fused latents."""
     conv, cell, out = head_layers(in_channels, grid, hidden)
-    report = stack_cost(conv, (in_channels, grid, grid), batch=seq_len,
-                        energy_per_mac=energy_per_mac)
+    report = stack_cost(conv, (in_channels, grid, grid), batch=seq_len)
     report.rows.append(layer_cost(cell, (cell.in_features,), batch=seq_len))
     report.rows.append(layer_cost(out, (hidden,), batch=1))
     return report
 
 
-def fuse_cost(m: int, embed_dim: int, grid: int = GRID, seq_len: int = 1,
-              energy_per_mac: float = ENERGY_PER_MAC) -> CostReport:
+def fuse_cost(m: int, embed_dim: int, grid: int = GRID,
+              seq_len: int = 1) -> CostReport:
     """Concatenation moves bytes but multiplies nothing."""
     elems = m * embed_dim * grid * grid * seq_len
     row = CostRow("fuse", "concat", 0, 0, elems * ELEM_BYTES, elems * ELEM_BYTES)
-    return CostReport([row], energy_per_mac)
+    return CostReport([row])
 
 
 def pipeline_cost(kind: str, m: int, embed_dim: int = 16, codebook_size: int = 128,
                   seq_len: int = 1, window_len: int = 128,
                   spectral_cfg: SpectralConfig = SpectralConfig(),
-                  energy_per_mac: float = ENERGY_PER_MAC,
                   modalities: Sequence[str] | None = None) -> PipelineCost:
     """Per-stage cost of one inference step for either system.
 
@@ -254,8 +237,8 @@ def pipeline_cost(kind: str, m: int, embed_dim: int = 16, codebook_size: int = 1
     if len(names) != m:
         raise UsageError(f"got {len(names)} modality names for m={m}")
 
-    pre = CostReport(energy_per_mac=energy_per_mac)
-    one_window = preprocess_cost(window_len, spectral_cfg, energy_per_mac)
+    pre = CostReport()
+    one_window = preprocess_cost(window_len, spectral_cfg)
     for name in names:
         for r in one_window.rows:
             pre.rows.append(CostRow(f"{name}.{r.name}", r.kind,
@@ -263,23 +246,21 @@ def pipeline_cost(kind: str, m: int, embed_dim: int = 16, codebook_size: int = 1
                                     r.fetch_bytes * seq_len,
                                     r.write_bytes * seq_len))
 
-    enc = CostReport(energy_per_mac=energy_per_mac)
+    enc = CostReport()
     in_shape = (3, IMAGE_SIZE, IMAGE_SIZE)
     if kind == "unified":
         # one parameter set, applied once per modality per step
-        enc.extend(stack_cost(build_encoder(embed_dim), in_shape,
-                              batch=m * seq_len, energy_per_mac=energy_per_mac))
+        enc.extend(stack_cost(build_encoder(embed_dim), in_shape, batch=m * seq_len))
         enc.rows.append(quantize_cost(embed_dim, codebook_size, batch=m * seq_len))
         loads = 1
     else:
         for name in names:
             enc.extend(stack_cost(build_feature_stack(name, embed_dim), in_shape,
-                                  batch=seq_len, energy_per_mac=energy_per_mac))
+                                  batch=seq_len))
         loads = m
 
-    fuse_stage = fuse_cost(m, embed_dim, GRID, seq_len, energy_per_mac)
-    classify = head_cost(m * embed_dim, seq_len, GRID,
-                         energy_per_mac=energy_per_mac)
+    fuse_stage = fuse_cost(m, embed_dim, GRID, seq_len)
+    classify = head_cost(m * embed_dim, seq_len, GRID)
     return PipelineCost({"preprocess": pre, "encode": enc, "fuse": fuse_stage,
                          "classify": classify}, m, loads)
 
@@ -288,44 +269,22 @@ def pipeline_cost(kind: str, m: int, embed_dim: int = 16, codebook_size: int = 1
 # Scaling comparison
 # ---------------------------------------------------------------------------
 
-def measure_runtime(fn: Callable[[], None], repeat: int = 10,
-                    warmup: int = 1) -> tuple[float, list[float]]:
-    """Median wall-clock seconds over `repeat` runs, warm-up runs discarded."""
-    for _ in range(warmup):
-        fn()
-    runs = []
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn()
-        runs.append(time.perf_counter() - t0)
-    return statistics.median(runs), runs
-
-
 def scaling_table(m_values: Sequence[int] = (1, 2, 3, 4, 5, 6),
-                  time_unified: Callable[[int], Callable[[], None]] | None = None,
-                  time_baseline: Callable[[int], Callable[[], None]] | None = None,
-                  repeat: int = 10, embed_dim: int = 16, codebook_size: int = 128,
+                  embed_dim: int = 16, codebook_size: int = 128,
                   seq_len: int = 1, window_len: int = 128,
-                  spectral_cfg: SpectralConfig = SpectralConfig(),
-                  energy_per_mac: float = ENERGY_PER_MAC
-                  ) -> tuple[list[dict], list[tuple[int, str, int, float]]]:
-    """One row per modality count: analytic columns plus optional runtimes.
+                  spectral_cfg: SpectralConfig = SpectralConfig()) -> list[dict]:
+    """One row of analytic columns per modality count.
 
-    time_unified/time_baseline map a modality count to a zero-argument
-    callable that performs one timed encoding pass; when omitted the
-    runtime columns are left empty. The params columns report the encode
-    stage (the quantity that distinguishes the systems); MAC columns are
-    whole-pipeline totals. Individual timed runs are returned alongside
-    the rows so they can be logged.
+    The params columns report the encode stage (the quantity that
+    distinguishes the systems); MAC columns are whole-pipeline totals.
     """
     rows = []
-    runs_log: list[tuple[int, str, int, float]] = []
     for m in m_values:
         uni = pipeline_cost("unified", m, embed_dim, codebook_size, seq_len,
-                            window_len, spectral_cfg, energy_per_mac)
+                            window_len, spectral_cfg)
         base = pipeline_cost("baseline", m, embed_dim, codebook_size, seq_len,
-                             window_len, spectral_cfg, energy_per_mac)
-        row = {
+                             window_len, spectral_cfg)
+        rows.append({
             "m": m,
             "unified_macs": uni.total_macs,
             "baseline_macs": base.total_macs,
@@ -333,28 +292,7 @@ def scaling_table(m_values: Sequence[int] = (1, 2, 3, 4, 5, 6),
             "baseline_params": base.stages["encode"].params,
             "unified_loads": uni.encoder_loads,
             "baseline_loads": base.encoder_loads,
-            "runtime_s_unified": "",
-            "runtime_s_baseline": "",
-        }
-        if time_unified is not None:
-            med, runs = measure_runtime(time_unified(m), repeat)
-            row["runtime_s_unified"] = med
-            runs_log += [(m, "unified", i, s) for i, s in enumerate(runs)]
-        if time_baseline is not None:
-            med, runs = measure_runtime(time_baseline(m), repeat)
-            row["runtime_s_baseline"] = med
-            runs_log += [(m, "baseline", i, s) for i, s in enumerate(runs)]
-        rows.append(row)
+        })
         log.debug("scaling m=%d: unified %d MACs, baseline %d MACs", m,
-                  row["unified_macs"], row["baseline_macs"])
-    return rows, runs_log
-
-
-def write_scaling_table(path: str, rows: list[dict]) -> None:
-    cols = ["m", "unified_macs", "baseline_macs", "unified_params",
-            "baseline_params", "unified_loads", "baseline_loads",
-            "runtime_s_unified", "runtime_s_baseline"]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[c]) for c in cols) + "\n")
+                  uni.total_macs, base.total_macs)
+    return rows

@@ -256,17 +256,10 @@ def param_specs(desc: LayerDescriptor) -> list[tuple[str, tuple[int, ...], int]]
 
 
 def param_names(desc: LayerDescriptor) -> list[str]:
-    if desc.kind == "residual_block":
-        names = []
-        for d in desc.inner:
-            names.extend(param_names(d))
-        return names
     return [f"{desc.name}.{suffix}" for suffix, _, _ in param_specs(desc)]
 
 
 def param_count(desc: LayerDescriptor) -> int:
-    if desc.kind == "residual_block":
-        return sum(param_count(d) for d in desc.inner)
     return sum(int(np.prod(shape)) for _, shape, _ in param_specs(desc))
 
 

@@ -17,16 +17,17 @@ stores rather than trusting a label).
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import costmodel
 from . import nnkernel as nn
 from .errors import DataError, UsageError
 from .fusion import ClassifierHead, SequenceSample, fuse, group_sequences
 from .ingest import Channel, MultimodalStream, Window, window_stream
 from .spectral import SpectralConfig, SpectralImage, spectral_image
+from .synthetic import make_stream
 from .vqvae import LatentCode, VqVaeModel, encode_image
 
 log = logging.getLogger(__name__)
@@ -49,11 +50,7 @@ class PipelineConfig:
     window_len: int = 128
     stride: int = 96
     seq_len: int = 8
-    threshold: float = 0.5
     spectral: SpectralConfig = field(default_factory=SpectralConfig)
-    embed_dim: int = 16
-    codebook_size: int = 128
-    energy_per_mac: float = costmodel.ENERGY_PER_MAC
 
 
 @dataclass
@@ -144,32 +141,25 @@ def stream_to_sequences(system, stream: MultimodalStream,
     return group_sequences(steps, labels, cfg.seq_len)
 
 
-def fixed_benchmark_images(modalities: tuple[str, ...],
-                           cfg: PipelineConfig = PipelineConfig()) -> dict[str, np.ndarray]:
-    """Deterministic per-modality spectral images for runtime measurement."""
-    from .synthetic import make_stream
-    stream = make_stream(n_samples=cfg.window_len * 2, seed=1234)
-    stream = derive_acc_magnitude(stream)
-    images = {}
-    for m in modalities:
-        ch = stream.channels[m]
-        w = Window(m, 0, ch.values[:cfg.window_len].copy(), 0)
-        images[m] = spectral_image(w, cfg.spectral).pixels
-    return images
+def encoding_runs(system, m: int, repeat: int,
+                  cfg: PipelineConfig = PipelineConfig()) -> list[float]:
+    """Wall-clock seconds of `repeat` passes that encode one window per modality.
 
-
-def encoding_timer(system, m: int, cfg: PipelineConfig = PipelineConfig()):
-    """Zero-argument callable that encodes one window per modality.
-
-    Images are precomputed so the timed region is exactly the encoding
-    stage (the stage that distinguishes the two systems).
+    The seed-1234 images are rendered before timing, so each timed pass is
+    exactly the encoding stage (the stage that distinguishes the two
+    systems); one warm-up pass is discarded.
     """
     modalities = permutation_modalities(m)
     system.parameter_stores(modalities)  # a missing encoder fails here, untimed
-    pixel_map = fixed_benchmark_images(modalities, cfg)
-    images = {name: SpectralImage(px, (name, 0)) for name, px in pixel_map.items()}
-
-    def run() -> None:
-        for name in modalities:
-            system.encode(name, images[name])
-    return run
+    stream = derive_acc_magnitude(make_stream(n_samples=cfg.window_len * 2, seed=1234))
+    images = []
+    for name in modalities:
+        window = Window(name, 0, stream.channels[name].values[:cfg.window_len], 0)
+        images.append((name, spectral_image(window, cfg.spectral)))
+    runs = []
+    for _ in range(repeat + 1):
+        t0 = time.perf_counter()
+        for name, image in images:
+            system.encode(name, image)
+        runs.append(time.perf_counter() - t0)
+    return runs[1:]

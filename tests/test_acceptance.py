@@ -6,6 +6,8 @@ Heavy artifacts, the trained autoencoder and the encoded synthetic streams,
 are built once in module fixtures and shared between criteria.
 """
 
+import statistics
+
 import numpy as np
 import pytest
 
@@ -145,8 +147,8 @@ def test_acceptance_03_runtime_trend():
     medians = {}
     for m in (1, 6):
         for label, system in (("unified", unified), ("baseline", base)):
-            fn = pipeline.encoding_timer(system, m, cfg)
-            medians[(label, m)], _ = costmodel.measure_runtime(fn, repeat=10)
+            medians[(label, m)] = statistics.median(
+                pipeline.encoding_runs(system, m, 10, cfg))
     gap1 = medians[("baseline", 1)] - medians[("unified", 1)]
     gap6 = medians[("baseline", 6)] - medians[("unified", 6)]
     ok = medians[("baseline", 6)] > medians[("unified", 6)] and gap6 > gap1

@@ -408,6 +408,8 @@ def test_exit_one_on_usage_error(tmp_path, capsys):
     ("floor_db=nan", 1), ("seed=1;beta=inf", 2), ("lr=0", 1), ("lr=-1e-3", 1),
     ("beta=-0.25", 1), ("resample_hz=-5", 1), ("energy_per_mac=-1e-12", 1),
     ("threshold=1.5", 1), ("threshold=-0.1", 1), ("threshold=nan", 1),
+    ("hop=0", 1), ("seed=2;frame_len=63", 2), ("frame_len=130", 1),
+    ("frame_len=32;window_len=30;stride=10", 2),
 ])
 def test_exit_one_on_out_of_range_config(tmp_path, capsys, text, line):
     cfg = tmp_path / "run.cfg"
@@ -613,9 +615,11 @@ def test_eval_rejects_missing_modality(workdir, capsys):
 # ---------------------------------------------------------------------------
 
 def test_bench_synthetic_outputs(tmp_path, capsys):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("energy_per_mac=1e-12\n")
     out_dir = tmp_path / "bench"
     code = main(["bench", "--synthetic", "--skip-metrics", "--repeat", "2",
-                 "--out-dir", str(out_dir)])
+                 "--out-dir", str(out_dir), "--config", str(cfg)])
     assert code == 0
     present = sorted(os.listdir(out_dir))
     assert present == ["fig3_runs.csv", "fig3_runtime.csv", "fig5_macs.csv",
@@ -624,6 +628,9 @@ def test_bench_synthetic_outputs(tmp_path, capsys):
     table = (out_dir / "scaling_table.csv").read_text().strip().splitlines()
     assert len(table) == 7
     header = table[0].split(",")
+    assert header == ["m", "unified_macs", "baseline_macs", "unified_params",
+                      "baseline_params", "unified_loads", "baseline_loads",
+                      "runtime_s_unified", "runtime_s_baseline"]
     for row in table[1:]:
         fields = dict(zip(header, row.split(",")))
         m = int(fields["m"])
@@ -636,11 +643,22 @@ def test_bench_synthetic_outputs(tmp_path, capsys):
     assert len(runs) == 1 + 6 * 2 * 2  # header + m-values x systems x repeat
 
     macs = (out_dir / "fig5_macs.csv").read_text().strip().splitlines()
+    assert macs[0] == "m,unified_macs,baseline_macs,unified_energy_j,baseline_energy_j"
     assert len(macs) == 7
     from latentfuse import costmodel
     for row in macs[1:]:
-        m_s, uni, base, _, _ = row.split(",")
+        m_s, uni, base, uni_j, base_j = row.split(",")
         assert int(uni) == costmodel.pipeline_cost("unified", int(m_s),
                                                    seq_len=1).total_macs
         assert int(base) == costmodel.pipeline_cost("baseline", int(m_s),
                                                     seq_len=1).total_macs
+        # energy is priced once, from the config's energy_per_mac
+        assert uni_j == f"{int(uni) * 1e-12:.6e}"
+        assert base_j == f"{int(base) * 1e-12:.6e}"
+
+
+def test_bench_refuses_zero_repeat(tmp_path, capsys):
+    code = main(["bench", "--synthetic", "--skip-metrics", "--repeat", "0",
+                 "--out-dir", str(tmp_path / "bench")])
+    assert code == 1
+    assert "--repeat" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from latentfuse import baseline, pipeline, synthetic, vqvae
+from latentfuse.errors import UsageError
 from latentfuse.ingest import slide_windows
 from latentfuse.spectral import spectral_image
 
@@ -54,3 +55,36 @@ def test_stream_to_sequences_fuses_each_window_and_labels_by_last_step(kind):
                 block = step.tensor[j * 16:(j + 1) * 16]
                 assert block.dtype == want.dtype
                 assert np.array_equal(block, want)
+
+
+class _CountingSystem:
+    """Forwards to a system and records which modalities it encodes."""
+
+    def __init__(self, system):
+        self.system = system
+        self.encoded = []
+
+    def encode(self, modality, image):
+        self.encoded.append(modality)
+        return self.system.encode(modality, image)
+
+    def parameter_stores(self, modalities):
+        return self.system.parameter_stores(modalities)
+
+
+@pytest.mark.parametrize("kind", ["unified", "baseline"])
+def test_encoding_runs(kind):
+    system = _CountingSystem(_systems()[kind])
+    runs = pipeline.encoding_runs(system, 3, 4)
+    assert len(runs) == 4
+    assert all(isinstance(t, float) and t > 0 for t in runs)
+    # one discarded warm-up pass, then four timed ones, one window per modality
+    assert system.encoded == list(pipeline.PERMUTATIONS[3]) * 5
+
+
+def test_encoding_runs_missing_encoder_fails_untimed():
+    encoders = {"ECG": baseline.splice(baseline.build_encoder("ECG", 16, seed=0))}
+    system = _CountingSystem(baseline.BaselineSystem(encoders, head=None))
+    with pytest.raises(UsageError):
+        pipeline.encoding_runs(system, 2, 3)
+    assert system.encoded == []
