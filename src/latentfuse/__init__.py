@@ -18,7 +18,7 @@ from .vqvae import (Codebook, LatentCode, VqVaeConfig, VqVaeModel, decode,
                     train_vqvae, vq_loss)
 from .fusion import (ClassifierConfig, FusedLatent, Metrics, SequenceSample,
                      classify, evaluate, fuse, train_classifier, unfuse)
-from .baseline import BaselineSystem, ModalityEncoder, pretrain_encoder, splice
+from .baseline import BaselineSystem, ModalityEncoder, pretrain_encoder
 from .costmodel import (CostReport, PipelineCost, layer_macs, memory_traffic,
                         pipeline_cost, scaling_table)
 from .pipeline import PERMUTATIONS, PipelineConfig, UnifiedSystem

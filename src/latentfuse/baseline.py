@@ -4,8 +4,8 @@ Each modality gets its own feature stack (three stride-2 convolutions with
 a residual block after the first two) that maps 3x128x128 spectral images
 to the same D x 16 x 16 shape the shared transcoder produces, so the
 identical fusion head runs on either system. Encoders are pretrained with
-a small supervised tail (global mean pool + dense to 2 logits) and then
-spliced: the tail is dropped and the remaining layers are frozen features.
+a small supervised tail (global mean pool + dense to 2 logits); extract
+then runs the frozen feature layers alone and never applies the tail.
 
 The stack is intentionally heavier than the shared encoder (wider at the
 high-resolution stages), mirroring the asymmetry this system is meant to
@@ -56,20 +56,10 @@ class ModalityEncoder:
 
 
 @dataclass
-class SplicedExtractor:
-    """The deployment view of a ModalityEncoder: features only, frozen."""
-
-    modality: str
-    features: list[nn.LayerDescriptor]
-    store: nn.ParamStore
-    embed_dim: int
-
-
-@dataclass
 class BaselineSystem:
-    """One spliced extractor per modality."""
+    """One modality encoder per modality; only its feature layers run."""
 
-    encoders: dict[str, SplicedExtractor]
+    encoders: dict[str, ModalityEncoder]
     head: ClassifierHead | None
 
     def encode(self, modality: str, image: SpectralImage) -> np.ndarray:
@@ -79,7 +69,7 @@ class BaselineSystem:
         return extract(self.encoders[modality], image)
 
     def parameter_stores(self, modalities: tuple[str, ...]) -> list[nn.ParamStore]:
-        """One store per modality, each belonging to its own extractor."""
+        """One store per modality, each belonging to its own encoder."""
         missing = [m for m in modalities if m not in self.encoders]
         if missing:
             raise UsageError(f"baseline system missing encoders for {missing}")
@@ -190,33 +180,26 @@ def pretrain_accuracy(encoder: ModalityEncoder, images: np.ndarray,
     return hits / images.shape[0]
 
 
-def splice(encoder: ModalityEncoder | SplicedExtractor) -> SplicedExtractor:
-    """Drop the classifier tail and freeze the features. Idempotent."""
-    if isinstance(encoder, SplicedExtractor):
-        return encoder
-    return SplicedExtractor(encoder.modality, encoder.features, encoder.store,
-                            encoder.embed_dim)
-
-
-def extract(extractor: SplicedExtractor, image: SpectralImage) -> np.ndarray:
-    """Feature map (D, 16, 16) for one image; matches the unified latent shape."""
-    feats, _ = nn.stack_forward(extractor.features, extractor.store,
+def extract(encoder: ModalityEncoder, image: SpectralImage) -> np.ndarray:
+    """Feature map (D, 16, 16) for one image from the feature layers alone
+    (never the tail); matches the unified latent shape."""
+    feats, _ = nn.stack_forward(encoder.features, encoder.store,
                                 image.pixels[None].astype(np.float32))
     return feats[0]
 
 
-def save_encoder(encoder: ModalityEncoder | SplicedExtractor, path: str) -> None:
-    """Write the encoder's tensors in the shared weight-file format."""
+def save_encoder(encoder: ModalityEncoder, path: str) -> None:
+    """Write the encoder's tensors, tail included, in the shared weight-file format."""
     write_tensors(path, dict(encoder.store.values))
 
 
-def load_extractor(path: str, modality: str, embed_dim: int = 16) -> SplicedExtractor:
-    """Load a pretrained modality encoder and return its spliced view.
+def load_extractor(path: str, modality: str, embed_dim: int = 16) -> ModalityEncoder:
+    """Load a pretrained modality encoder for feature extraction.
 
-    The pretraining tail is optional, so a full checkpoint and a spliced
-    file load alike.
+    The pretraining tail is optional, so a full checkpoint and a
+    features-only file load alike.
     """
     encoder = build_encoder(modality, embed_dim, seed=0)
     tail = [name for name in encoder.store.names() if ".tail." in name]
     load_into(encoder.store, read_tensors(path), path, optional=tail)
-    return splice(encoder)
+    return encoder

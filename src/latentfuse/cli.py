@@ -33,12 +33,11 @@ import numpy as np
 from . import baseline as baseline_mod
 from . import binio, costmodel, pipeline
 from .errors import DataError, NumericError, TruncatedPayloadError, UsageError
-from .fusion import (ClassifierConfig, SequenceSample, evaluate, fuse,
-                     group_sequences, load_head, save_head, train_classifier,
-                     write_training_curve)
+from .fusion import (ClassifierConfig, SequenceSample, evaluate, load_head,
+                     save_head, train_classifier, write_training_curve)
 from .ingest import (Window, load_labels, load_stream, prepare_stream,
                      window_stream)
-from .spectral import SpectralConfig, load_image, spectral_image
+from .spectral import TAPERS, SpectralConfig, load_image, spectral_image
 from .vqvae import (GRID, Codebook, VqVaeConfig, encode_image, load_model,
                     save_model, train_vqvae, write_loss_curve)
 
@@ -53,7 +52,7 @@ EXIT_CODES = {UsageError: 1, DataError: 2, NumericError: 3}
 
 
 # smallest accepted value of each range-checked config key
-_MINIMUM = {"window_len": 1, "stride": 1, "frame_len": 1, "hop": 1,
+_MINIMUM = {"seed": 0, "window_len": 1, "stride": 1, "frame_len": 1, "hop": 1,
             "codebook_size": 2, "embed_dim": 1, "steps": 0, "batch": 1,
             "epochs": 1, "seq_len": 1, "beta": 0.0, "resample_hz": 0.0,
             "energy_per_mac": 0.0, "threshold": 0.0}
@@ -67,6 +66,8 @@ def _out_of_range(key: str, value) -> str | None:
         return f"must be at least {_MINIMUM[key]}"
     if key == "frame_len" and value % 2:
         return "must be even"
+    if key == "taper" and value not in TAPERS:
+        return f"must be one of {', '.join(TAPERS)}"
     if key == "lr" and value <= 0:
         return "must be positive"
     if key == "threshold" and value > 1:
@@ -273,24 +274,13 @@ def read_latents(path: str) -> tuple[list[LatentEntry], Codebook]:
 def sequences_from_latents(entries: list[LatentEntry], codebook: Codebook,
                            modalities: tuple[str, ...],
                            seq_len: int) -> list[SequenceSample]:
-    """Align latent entries across modalities and group into sequences."""
-    by_mod: dict[str, dict[int, LatentEntry]] = {}
+    """Rebuild the requested modalities' latents and align them by start."""
+    coded: dict[str, dict[int, tuple[np.ndarray, int]]] = {}
     for e in entries:
-        by_mod.setdefault(e.modality, {})[e.start] = e
-    for m in modalities:
-        if m not in by_mod:
-            raise DataError(f"latent file has no entries for modality {m!r}")
-    common = sorted(set.intersection(*(set(by_mod[m]) for m in modalities)))
-    if not common:
-        raise DataError("no start indices shared by all requested modalities")
-    steps = [fuse({m: codebook.lookup(by_mod[m][s].indices) for m in modalities},
-                  modalities) for s in common]
-    labels = [by_mod[modalities[0]][start].label for start in common]
-    samples = group_sequences(steps, labels, seq_len)
-    if not samples:
-        raise DataError(f"only {len(steps)} aligned steps; need at least "
-                        f"seq_len={seq_len}")
-    return samples
+        if e.modality in modalities:
+            coded.setdefault(e.modality, {})[e.start] = (codebook.lookup(e.indices),
+                                                         e.label)
+    return pipeline.aligned_sequences(coded, modalities, seq_len)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +347,8 @@ def _load_image_dir(path: str) -> np.ndarray:
 def cmd_train_encoder(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_file(args.config)
     _log_config(cfg, "train-encoder")
+    if args.synthetic < 0:
+        raise UsageError(f"--synthetic must be at least 0, got {args.synthetic}")
     if args.images:
         images = _load_image_dir(args.images)
     else:
@@ -393,7 +385,8 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 def _resolve_modalities(args: argparse.Namespace) -> tuple[str, ...]:
     if args.modalities:
-        return tuple(m.strip() for m in args.modalities.split(",") if m.strip())
+        return pipeline.permutation_modalities(
+            [m.strip() for m in args.modalities.split(",") if m.strip()])
     if args.permutation:
         return pipeline.permutation_modalities(args.permutation)
     raise UsageError("provide --permutation 1..6 or --modalities A,B,...")
@@ -440,8 +433,7 @@ def _build_synthetic_systems(cfg: RunConfig):
     encoders = {}
     all_mods = pipeline.PERMUTATIONS[6]
     for i, name in enumerate(all_mods):
-        enc = baseline_mod.build_encoder(name, cfg.embed_dim, cfg.seed + i)
-        encoders[name] = baseline_mod.splice(enc)
+        encoders[name] = baseline_mod.build_encoder(name, cfg.embed_dim, cfg.seed + i)
     base = baseline_mod.BaselineSystem(encoders, head=None)
     return unified, base
 

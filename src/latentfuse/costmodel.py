@@ -87,14 +87,6 @@ class PipelineCost:
     def total_params(self) -> int:
         return sum(s.params for s in self.stages.values())
 
-    @property
-    def total_fetch_bytes(self) -> int:
-        return sum(s.fetch_bytes for s in self.stages.values())
-
-    @property
-    def total_write_bytes(self) -> int:
-        return sum(s.write_bytes for s in self.stages.values())
-
 
 def _shape_elems(shape: tuple[int, ...]) -> int:
     n = 1
@@ -162,11 +154,13 @@ def stack_cost(descs: Sequence[nn.LayerDescriptor], in_shape: tuple[int, ...],
 
 def preprocess_cost(window_len: int = 128,
                     cfg: SpectralConfig = SpectralConfig()) -> CostReport:
-    """Pinned operation counts for one window -> spectral image conversion.
+    """Pinned operation counts for one window -> spectral image conversion,
+    one row per step in the order render_image runs them.
 
-    Conventions per element: complex DFT term 4 mults; |z| then dB 3;
-    min-max normalize 1; colormap interpolation 2 per output channel;
-    bilinear resize 4 per output pixel per channel.
+    Conventions per element: complex DFT term 4 mults (a direct DFT, not
+    an FFT); |z| then dB 3; min-max normalize 1; bilinear resize of the
+    one normalized channel 4 per output pixel; colormap interpolation 2
+    per output pixel per RGB channel.
     """
     fl, hop = cfg.frame_len, cfg.hop
     f_bins = fl // 2 + 1
@@ -181,8 +175,9 @@ def preprocess_cost(window_len: int = 128,
                 frames * fl * b, 2 * ft * b),
         CostRow("magnitude_db", "preprocess", 3 * ft, 0, 2 * ft * b, ft * b),
         CostRow("normalize", "preprocess", ft, 0, ft * b, ft * b),
-        CostRow("colormap", "preprocess", 6 * ft, 0, (ft + 256 * 3) * b, 3 * ft * b),
-        CostRow("resize", "preprocess", 4 * 3 * img, 0, 3 * ft * b, 3 * img * b),
+        CostRow("resize", "preprocess", 4 * img, 0, ft * b, img * b),
+        CostRow("colormap", "preprocess", 2 * 3 * img, 0, (img + 256 * 3) * b,
+                3 * img * b),
     ]
     return CostReport(rows)
 

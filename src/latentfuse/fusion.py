@@ -23,7 +23,7 @@ import numpy as np
 
 from . import nnkernel as nn
 from .errors import DataError, NumericError, UsageError
-from .vqvae import GRID, LatentCode, load_into, read_tensors, write_tensors
+from .vqvae import GRID, load_into, read_tensors, write_tensors
 
 log = logging.getLogger(__name__)
 
@@ -70,12 +70,11 @@ class Metrics:
                            "tn": self.tn, "fn": self.fn})
 
 
-def fuse(latents: Mapping[str, LatentCode | np.ndarray],
-         order: Sequence[str]) -> FusedLatent:
-    """Concatenate per-modality latent tensors along the channel axis.
+def fuse(latents: Mapping[str, np.ndarray], order: Sequence[str]) -> FusedLatent:
+    """Concatenate per-modality (D, g, g) latent tensors along the channel axis.
 
-    Accepts LatentCode values or raw (D, g, g) arrays; the latter lets the
-    per-modality baseline reuse the same head without a codebook.
+    Both systems' encode returns such an array (the unified system's is the
+    quantized latent), so one head serves either.
     """
     if not order:
         raise UsageError("modality order must not be empty")
@@ -84,8 +83,7 @@ def fuse(latents: Mapping[str, LatentCode | np.ndarray],
     for name in order:
         if name not in latents:
             raise UsageError(f"missing modality {name!r} in latents")
-        value = latents[name]
-        tensor = value.quantized if isinstance(value, LatentCode) else value
+        tensor = latents[name]
         if tensor.ndim != 3:
             raise UsageError(f"latent for {name!r} must be 3-d, got {tensor.shape}")
         if d is None:

@@ -289,15 +289,15 @@ def rescale_label_indices(labels: list[tuple[int, int]], rate_hz: float,
 
 
 def slide_windows(channel: Channel, labels: list[tuple[int, int]] | None = None,
-                  window_len: int = DEFAULT_WINDOW_LEN, stride: int = DEFAULT_STRIDE,
-                  zero_fill: bool = True) -> list[Window]:
+                  window_len: int = DEFAULT_WINDOW_LEN, stride: int = DEFAULT_STRIDE
+                  ) -> list[Window]:
     """Cut a channel into fixed-length windows on the stride lattice.
 
     Start indices are 0, stride, 2*stride, ...; the number of full windows
     is floor((N - window_len)/stride) + 1. When the full windows stop short
     of the end of the signal, one zero-filled tail window is added at the
-    next lattice point (disable with zero_fill=False). Each window's label
-    is the label active at its last real sample index.
+    next lattice point. Each window's label is the label active at its
+    last real sample index.
     """
     if window_len < 1:
         raise UsageError("window_len must be >= 1")
@@ -308,13 +308,7 @@ def slide_windows(channel: Channel, labels: list[tuple[int, int]] | None = None,
     labels = labels or []
     v = channel.values
     n = v.size
-    if n < window_len:
-        if not zero_fill:
-            raise DataError(f"channel {channel.name}: {n} samples is shorter than one "
-                            f"window of {window_len}")
-        count = 0
-    else:
-        count = (n - window_len) // stride + 1
+    count = (n - window_len) // stride + 1 if n >= window_len else 0
 
     out: list[Window] = []
     for w in range(count):
@@ -323,7 +317,7 @@ def slide_windows(channel: Channel, labels: list[tuple[int, int]] | None = None,
         out.append(Window(channel.name, start, v[start:start + window_len].copy(), lab))
 
     covered_to = (count - 1) * stride + window_len if count else 0
-    if zero_fill and covered_to < n:
+    if covered_to < n:
         start = count * stride
         tail = np.zeros(window_len, dtype=np.float64)
         real = v[start:n]

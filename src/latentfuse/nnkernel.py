@@ -47,12 +47,11 @@ _MIX2 = 0x94D049BB133111EB
 # ---------------------------------------------------------------------------
 
 class Rng:
-    """SplitMix64 generator with uniform and Box-Muller normal variates.
+    """SplitMix64 generator with uniform variates.
 
     Output i (1-based) mixes the state seed + i * 0x9E3779B97F4A7C15, so the
     sequence is a pure function of (seed, draw index) and can be produced
-    scalar or vectorized with identical results. normal() consumes exactly
-    two raw outputs per pair of variates and never caches a spare.
+    scalar or vectorized with identical results.
     """
 
     def __init__(self, seed: int):
@@ -78,19 +77,6 @@ class Rng:
         if shape == ():
             return float(u[0])
         return u.reshape(shape)
-
-    def normal(self, shape: int | tuple[int, ...] = ()) -> np.ndarray | float:
-        """Standard normal draws via Box-Muller on consecutive uniform pairs."""
-        size = int(np.prod(shape)) if shape != () else 1
-        pairs = (size + 1) // 2
-        u = self._raw(2 * pairs).astype(np.float64) * (2.0 ** -64)
-        u1, u2 = u[:pairs], u[pairs:]
-        r = np.sqrt(-2.0 * np.log1p(-u1))
-        theta = 2.0 * np.pi * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:size]
-        if shape == ():
-            return float(z[0])
-        return z.reshape(shape)
 
     def integers(self, bound: int, size: int) -> np.ndarray:
         """Draws in [0, bound) by modulo reduction (documented small bias)."""

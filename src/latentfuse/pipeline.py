@@ -4,21 +4,24 @@ This module owns the modality-permutation table, the derived accelerometer
 magnitude channel, and the two runnable systems:
 
 - UnifiedSystem: one shared frozen encoder applied to every modality.
-- baseline.BaselineSystem: one spliced extractor per modality.
+- baseline.BaselineSystem: one feature extractor per modality.
 
-Both offer the same two methods, encode(modality, image) and
-parameter_stores(modalities), and produce identically shaped FusedLatent
-tensors, so they share the fusion head, the evaluation code, and the cost
-model; the only difference is how many encoder parameter sets exist
-(counted structurally by encoder_loads, which inspects distinct parameter
-stores rather than trusting a label).
+Both offer the same two methods, encode(modality, image), which returns a
+(D, 16, 16) latent array, and parameter_stores(modalities), so they share
+the fusion head, the evaluation code, and the cost model; the only
+difference is how many encoder parameter sets exist (counted structurally
+by encoder_loads, which inspects distinct parameter stores rather than
+trusting a label).
+
+aligned_sequences is the one start-keyed aligner, behind both
+stream_to_sequences and the CLI's .lsfl reader.
 """
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -28,9 +31,7 @@ from .fusion import ClassifierHead, SequenceSample, fuse, group_sequences
 from .ingest import Channel, MultimodalStream, Window, window_stream
 from .spectral import SpectralConfig, SpectralImage, spectral_image
 from .synthetic import make_stream
-from .vqvae import LatentCode, VqVaeModel, encode_image
-
-log = logging.getLogger(__name__)
+from .vqvae import VqVaeModel, encode_image
 
 # cumulative fusion permutations; entry m fuses the first m modality groups
 PERMUTATIONS: dict[int, tuple[str, ...]] = {
@@ -60,9 +61,9 @@ class UnifiedSystem:
     model: VqVaeModel
     head: ClassifierHead | None = None
 
-    def encode(self, modality: str, image: SpectralImage) -> LatentCode:
-        """The shared encoder plus quantizer, whatever the modality."""
-        return encode_image(self.model, image)
+    def encode(self, modality: str, image: SpectralImage) -> np.ndarray:
+        """The shared quantized latent (D, 16, 16), whatever the modality."""
+        return encode_image(self.model, image).quantized
 
     def parameter_stores(self, modalities: tuple[str, ...]) -> list[nn.ParamStore]:
         """The single shared store, however many modalities use it."""
@@ -107,17 +108,32 @@ def encoder_loads(system, modalities: tuple[str, ...]) -> int:
     return len({id(store) for store in system.parameter_stores(modalities)})
 
 
+def aligned_sequences(coded: Mapping[str, Mapping[int, tuple[np.ndarray, int]]],
+                      modalities: tuple[str, ...],
+                      seq_len: int) -> list[SequenceSample]:
+    """Fuse, in start order, the latents every modality holds at a start, then
+    group the steps into sequences of seq_len (labeled by their last step).
+
+    coded maps modality -> start index -> (latent, window label).
+    """
+    for m in modalities:
+        if m not in coded:
+            raise DataError(f"no latents for modality {m!r}")
+    starts = sorted(set.intersection(*(set(coded[m]) for m in modalities)))
+    if len(starts) < seq_len:
+        raise DataError(f"only {len(starts)} aligned steps; need at least "
+                        f"seq_len={seq_len}")
+    steps = [fuse({m: coded[m][s][0] for m in modalities}, modalities) for s in starts]
+    labels = [coded[modalities[0]][s][1] for s in starts]
+    return group_sequences(steps, labels, seq_len)
+
+
 def stream_to_sequences(system, stream: MultimodalStream,
                         permutation: int | list[str],
                         cfg: PipelineConfig = PipelineConfig()
                         ) -> list[SequenceSample]:
-    """Windows from every modality, encoded, fused, grouped into sequences.
-
-    The stream must be gap-repaired and uniformly sampled. Windows with the
-    same start index across modalities form one fused step; consecutive
-    steps are grouped into non-overlapping sequences of cfg.seq_len, each
-    labeled by its final step (causal labeling, matching the windows).
-    """
+    """Encode every window of a gap-repaired, uniformly sampled stream and
+    align the latents into fused sequences."""
     modalities = permutation_modalities(permutation)
     stream = derive_acc_magnitude(stream)
     for m in modalities:
@@ -125,20 +141,11 @@ def stream_to_sequences(system, stream: MultimodalStream,
             raise DataError(f"stream has no channel {m!r}")
     sub = MultimodalStream({m: stream.channels[m] for m in modalities},
                            labels=stream.labels)
-    per_channel = window_stream(sub, cfg.window_len, cfg.stride)
-    counts = {m: len(ws) for m, ws in per_channel.items()}
-    n_steps = min(counts.values())
-    if len(set(counts.values())) != 1:
-        log.warning("modalities yield unequal window counts %s; using %d",
-                    counts, n_steps)
-
-    steps = []
-    for i in range(n_steps):
-        latents = {m: system.encode(m, spectral_image(per_channel[m][i], cfg.spectral))
-                   for m in modalities}
-        steps.append(fuse(latents, modalities))
-    labels = [per_channel[modalities[0]][i].label for i in range(n_steps)]
-    return group_sequences(steps, labels, cfg.seq_len)
+    coded = {m: {w.start_index: (system.encode(m, spectral_image(w, cfg.spectral)),
+                                 w.label)
+                 for w in windows}
+             for m, windows in window_stream(sub, cfg.window_len, cfg.stride).items()}
+    return aligned_sequences(coded, modalities, cfg.seq_len)
 
 
 def encoding_runs(system, m: int, repeat: int,

@@ -1,13 +1,14 @@
 """Signal window -> standardized 3x128x128 spectral image.
 
-The chain is stft -> magnitude_db -> render_image. Defaults (frame_len 64,
-hop 1, Hann taper) turn a 128-sample window into a 33x65 time-frequency
-grid, which is normalized, bilinearly upsampled to 128x128, and then
-colormapped. Interpolating in value space before the color lookup keeps
-every output pixel an exact colormap color, the same thing a plotting
-library produces when it rasterizes a spectrogram. The image is the only
-thing later stages see, which is what makes the encoder modality-agnostic:
-every signal arrives in the same shape and value range.
+The chain is stft (complex F x T bins) -> magnitude_db -> render_image.
+Defaults (frame_len 64, hop 1, Hann taper) turn a 128-sample window into
+a 33x65 time-frequency grid, which is normalized, bilinearly upsampled to
+128x128, and then colormapped. Interpolating in value space before the
+color lookup keeps every output pixel an exact colormap color, the same
+thing a plotting library produces when it rasterizes a spectrogram. The
+image, which holds nothing but its pixels, is the only thing later stages
+see, which is what makes the encoder modality-agnostic: every signal
+arrives in the same shape and value range.
 
 Reproducibility pins, documented in docs/formats.md:
 - the colormap is a fixed 256-entry RGB table shipped as package data and
@@ -30,6 +31,7 @@ from .errors import (BadMagicError, DataError, NumericError,
 from .ingest import Window
 
 IMAGE_SIZE = 128
+TAPERS = ("hann", "rect")
 _EPS = 1e-12
 
 _IMAGE_MAGIC = b"LSFI"
@@ -44,27 +46,8 @@ class SpectralConfig:
 
 
 @dataclass
-class Spectrogram:
-    """Complex STFT bins: rows are frequency bins, columns time frames."""
-
-    bins: np.ndarray
-    frame_len: int
-    hop: int
-    window_fn: str
-
-    @property
-    def n_bins(self) -> int:
-        return self.bins.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.bins.shape[1]
-
-
-@dataclass
 class SpectralImage:
     pixels: np.ndarray
-    source: tuple[str, int]
 
     def __post_init__(self):
         if self.pixels.shape != (3, IMAGE_SIZE, IMAGE_SIZE):
@@ -80,12 +63,13 @@ def taper_window(name: str, frame_len: int) -> np.ndarray:
         # symmetric cosine taper, zero at both ends
         n = np.arange(frame_len, dtype=np.float64)
         return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / (frame_len - 1))
-    raise UsageError(f"unknown taper {name!r} (expected 'hann' or 'rect')")
+    raise UsageError(f"unknown taper {name!r} (expected one of {TAPERS})")
 
 
 def stft(values: np.ndarray, frame_len: int = 64, hop: int = 1,
-         taper: str = "hann") -> Spectrogram:
-    """Short-time Fourier transform of one window.
+         taper: str = "hann") -> np.ndarray:
+    """Short-time Fourier transform of one window: the complex (F, T) bins,
+    rows frequency bins and columns time frames.
 
     bins[f][t] = sum_n x[t*hop + n] * w[n] * exp(-2j*pi*f*n/frame_len) for
     f = 0..frame_len/2; frame count T = (len(values) - frame_len)//hop + 1.
@@ -105,15 +89,14 @@ def stft(values: np.ndarray, frame_len: int = 64, hop: int = 1,
     n_frames = (x.size - frame_len) // hop + 1
     starts = np.arange(n_frames) * hop
     frames = x[starts[:, None] + np.arange(frame_len)] * w
-    bins = np.fft.rfft(frames, axis=1).T
-    return Spectrogram(bins, frame_len, hop, taper)
+    return np.fft.rfft(frames, axis=1).T
 
 
-def magnitude_db(spec: Spectrogram, floor_db: float = -80.0) -> np.ndarray:
-    """Log-magnitude in dB, clamped from below at floor_db."""
-    if not np.isfinite(spec.bins).all():
+def magnitude_db(bins: np.ndarray, floor_db: float = -80.0) -> np.ndarray:
+    """Log-magnitude in dB of complex STFT bins, clamped from below at floor_db."""
+    if not np.isfinite(bins).all():
         raise NumericError("spectrogram contains non-finite bins")
-    return np.maximum(20.0 * np.log10(np.abs(spec.bins) + _EPS), floor_db)
+    return np.maximum(20.0 * np.log10(np.abs(bins) + _EPS), floor_db)
 
 
 _colormap_cache: np.ndarray | None = None
@@ -179,7 +162,7 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return out
 
 
-def render_image(mag: np.ndarray, source: tuple[str, int] = ("", 0)) -> SpectralImage:
+def render_image(mag: np.ndarray) -> SpectralImage:
     """Normalize a magnitude matrix, resize it to 128x128, then colormap.
 
     The resize runs on the normalized scalar field, so the color of an
@@ -197,15 +180,13 @@ def render_image(mag: np.ndarray, source: tuple[str, int] = ("", 0)) -> Spectral
     resized = bilinear_resize(norm[None], IMAGE_SIZE, IMAGE_SIZE)[0]
     rgb = apply_colormap(resized)
     np.clip(rgb, 0.0, 1.0, out=rgb)
-    pixels = rgb.astype(np.float32)
-    return SpectralImage(pixels, source)
+    return SpectralImage(rgb.astype(np.float32))
 
 
 def spectral_image(window: Window, cfg: SpectralConfig = SpectralConfig()) -> SpectralImage:
     """Full window -> image chain. Deterministic for a fixed config."""
-    spec = stft(window.values, cfg.frame_len, cfg.hop, cfg.taper)
-    mag = magnitude_db(spec, cfg.floor_db)
-    return render_image(mag, (window.channel_name, window.start_index))
+    bins = stft(window.values, cfg.frame_len, cfg.hop, cfg.taper)
+    return render_image(magnitude_db(bins, cfg.floor_db))
 
 
 def save_image(path: str, image: SpectralImage) -> None:
@@ -237,4 +218,4 @@ def load_image(path: str) -> SpectralImage:
     if len(payload) != expected:
         raise DataError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
     px = np.frombuffer(payload, dtype="<f4").reshape(3, height, width)
-    return SpectralImage(np.ascontiguousarray(px), ("", 0))
+    return SpectralImage(np.ascontiguousarray(px))

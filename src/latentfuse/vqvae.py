@@ -64,7 +64,6 @@ class Codebook:
 class LatentCode:
     indices: np.ndarray
     quantized: np.ndarray
-    source: tuple[str, int] = ("", 0)
 
 
 @dataclass
@@ -149,8 +148,7 @@ def encode(model: VqVaeModel, image: SpectralImage) -> np.ndarray:
     return z[0]
 
 
-def quantize(z_e: np.ndarray, codebook: Codebook,
-             source: tuple[str, int] = ("", 0)) -> LatentCode:
+def quantize(z_e: np.ndarray, codebook: Codebook) -> LatentCode:
     """Nearest codebook entry per grid cell; ties go to the lowest index.
 
     quantized is built by table lookup, so each of its columns equals the
@@ -160,7 +158,7 @@ def quantize(z_e: np.ndarray, codebook: Codebook,
     if d != codebook.d:
         raise UsageError(f"latent dim {d} does not match codebook dim {codebook.d}")
     indices = _nearest_codes(z_e.reshape(d, h * w).T, codebook.entries).reshape(h, w)
-    return LatentCode(indices, codebook.lookup(indices), source)
+    return LatentCode(indices, codebook.lookup(indices))
 
 
 def _nearest_codes(vecs: np.ndarray, entries: np.ndarray) -> np.ndarray:
@@ -231,7 +229,7 @@ def decode(model: VqVaeModel, quantized: np.ndarray) -> np.ndarray:
 
 def encode_image(model: VqVaeModel, image: SpectralImage) -> LatentCode:
     """encode + quantize in one call; the pipeline-facing entry point."""
-    return quantize(encode(model, image), model.codebook, image.source)
+    return quantize(encode(model, image), model.codebook)
 
 
 def vq_loss(x: np.ndarray, x_hat: np.ndarray, z_e: np.ndarray, z_q: np.ndarray,

@@ -43,7 +43,7 @@ def trained_autoencoder():
 def _dataset_recon_mse(model, images) -> float:
     total = 0.0
     for i in range(images.shape[0]):
-        code = vqvae.encode_image(model, SpectralImage(images[i], ("", 0)))
+        code = vqvae.encode_image(model, SpectralImage(images[i]))
         x_hat = vqvae.decode(model, code.quantized)
         diff = images[i].astype(np.float64) - x_hat.astype(np.float64)
         total += float(np.mean(diff ** 2))
@@ -85,8 +85,7 @@ def test_acceptance_01_encoder_count_scaling():
     unified = pipeline.UnifiedSystem(model)
     encoders = {}
     for i, name in enumerate(pipeline.PERMUTATIONS[6]):
-        encoders[name] = baseline_mod.splice(
-            baseline_mod.build_encoder(name, 16, seed=i))
+        encoders[name] = baseline_mod.build_encoder(name, 16, seed=i)
     base = baseline_mod.BaselineSystem(encoders, head=None)
 
     single = costmodel.pipeline_cost("baseline", 1).stages["encode"].params
@@ -139,8 +138,7 @@ def test_acceptance_03_runtime_trend():
     unified = pipeline.UnifiedSystem(model)
     encoders = {}
     for i, name in enumerate(pipeline.PERMUTATIONS[6]):
-        encoders[name] = baseline_mod.splice(
-            baseline_mod.build_encoder(name, 16, seed=i))
+        encoders[name] = baseline_mod.build_encoder(name, 16, seed=i)
     base = baseline_mod.BaselineSystem(encoders, head=None)
 
     cfg = pipeline.PipelineConfig()
@@ -166,8 +164,7 @@ def test_acceptance_04_stft_correctness():
     for _ in range(100):
         x = rs.normal(0, 1, 128)
         spec = stft(x, frame_len=64, hop=64, taper="rect")
-        full = np.concatenate([spec.bins, np.conj(spec.bins[1:-1][::-1])],
-                              axis=0)
+        full = np.concatenate([spec, np.conj(spec[1:-1][::-1])], axis=0)
         for t in range(full.shape[1]):
             frame = x[t * 64:(t + 1) * 64]
             lhs = float(np.sum(np.abs(full[:, t]) ** 2)) / 64.0
@@ -178,7 +175,7 @@ def test_acceptance_04_stft_correctness():
     n = np.arange(128)
     tone = np.cos(2 * np.pi * 4 * n / 64)
     spec = stft(tone, frame_len=64, hop=64, taper="rect")
-    mags = np.abs(spec.bins)
+    mags = np.abs(spec)
     tone_ok = bool(np.all(mags.argmax(axis=0) == 4))
     ok = parseval_ok and tone_ok
     report(4, "stft correctness", ok,
@@ -436,7 +433,7 @@ def test_acceptance_09_determinism(tmp_path):
     # save/load round trip preserves encode outputs bitwise
     loaded = vqvae.load_model(str(a / "model.lsfw"))
     reloaded = vqvae.load_model(str(a / "model.lsfw"))
-    img = SpectralImage(synthetic.make_images(1, seed=3)[0], ("", 0))
+    img = SpectralImage(synthetic.make_images(1, seed=3)[0])
     c1 = vqvae.encode_image(loaded, img)
     c2 = vqvae.encode_image(reloaded, img)
     if not (np.array_equal(c1.indices, c2.indices)

@@ -132,22 +132,14 @@ def test_default_sample_budget():
 
 
 # ---------------------------------------------------------------------------
-# Splicing and extraction
+# Extraction
 # ---------------------------------------------------------------------------
-
-def test_splice_is_idempotent_and_freezes(pretrained):
-    encoder, _ = pretrained
-    spliced = baseline.splice(encoder)
-    assert baseline.splice(spliced) is spliced
-    assert spliced.modality == "ECG"
-
 
 def test_spliced_features_match_full_forward(pretrained, labeled_set):
     encoder, _ = pretrained
     images, _ = labeled_set
-    spliced = baseline.splice(encoder)
-    img = SpectralImage(images[3], ("ECG", 0))
-    feats = baseline.extract(spliced, img)
+    img = SpectralImage(images[3])
+    feats = baseline.extract(encoder, img)
     full_feats, _, _ = baseline._forward_with_tail(encoder, images[3:4])
     assert feats.shape == (16, 16, 16)
     assert np.array_equal(feats, full_feats[0])
@@ -156,13 +148,12 @@ def test_spliced_features_match_full_forward(pretrained, labeled_set):
 def test_extractor_roundtrip(tmp_path, pretrained, labeled_set):
     encoder, _ = pretrained
     images, _ = labeled_set
-    spliced = baseline.splice(encoder)
     path = str(tmp_path / "ECG.lsfw")
-    baseline.save_encoder(spliced, path)
+    baseline.save_encoder(encoder, path)
     loaded = baseline.load_extractor(path, "ECG")
-    img = SpectralImage(images[5], ("ECG", 96))
+    img = SpectralImage(images[5])
     assert np.array_equal(baseline.extract(loaded, img),
-                          baseline.extract(spliced, img))
+                          baseline.extract(encoder, img))
 
 
 def test_load_extractor_accepts_tail_free_file(tmp_path, pretrained, labeled_set):
@@ -174,8 +165,8 @@ def test_load_extractor_accepts_tail_free_file(tmp_path, pretrained, labeled_set
     path = str(tmp_path / "stripped.lsfw")
     write_tensors(path, tensors)
     loaded = baseline.load_extractor(path, "ECG")
-    img = SpectralImage(images[7], ("ECG", 0))
-    ref = baseline.extract(baseline.splice(encoder), img)
+    img = SpectralImage(images[7])
+    ref = baseline.extract(encoder, img)
     assert np.array_equal(baseline.extract(loaded, img), ref)
 
 

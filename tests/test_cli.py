@@ -159,8 +159,7 @@ def _sample_entries(starts=(0, 96), labels=None, modalities=("ECG", "EMG"),
 
 def test_latents_round_trip(tmp_path):
     model = vqvae.build_model(128, 16, seed=3)
-    images = [SpectralImage(px, ("ECG", 96 * i))
-              for i, px in enumerate(make_images(3, seed=4))]
+    images = [SpectralImage(px) for px in make_images(3, seed=4)]
     codes = [vqvae.encode_image(model, im) for im in images]
     entries = [LatentEntry("ECG", 96 * i, i % 2, c.indices)
                for i, c in enumerate(codes)]
@@ -354,7 +353,7 @@ def test_sequences_missing_modality():
 def test_sequences_disjoint_starts():
     a = _sample_entries(starts=(0, 96), modalities=("ECG",))
     b = _sample_entries(starts=(48, 144), modalities=("EMG",))
-    with pytest.raises(DataError, match="no start indices"):
+    with pytest.raises(DataError, match="only 0 aligned steps"):
         sequences_from_latents(a + b, CODEBOOK, ("ECG", "EMG"), seq_len=1)
 
 
@@ -409,7 +408,8 @@ def test_exit_one_on_usage_error(tmp_path, capsys):
     ("beta=-0.25", 1), ("resample_hz=-5", 1), ("energy_per_mac=-1e-12", 1),
     ("threshold=1.5", 1), ("threshold=-0.1", 1), ("threshold=nan", 1),
     ("hop=0", 1), ("seed=2;frame_len=63", 2), ("frame_len=130", 1),
-    ("frame_len=32;window_len=30;stride=10", 2),
+    ("frame_len=32;window_len=30;stride=10", 2), ("seed=-1", 1),
+    ("taper=foo", 1), ("seed=4;taper=Hann", 2),
 ])
 def test_exit_one_on_out_of_range_config(tmp_path, capsys, text, line):
     cfg = tmp_path / "run.cfg"
@@ -448,6 +448,13 @@ def test_ingest_hostile_csv_exits_two_naming_the_line(tmp_path, capsys, csv_line
     assert f"line {line}:" in err
 
 
+def test_train_encoder_negative_synthetic_exits_one(tmp_path, capsys):
+    out = tmp_path / "model.lsfw"
+    assert main(["train-encoder", "--synthetic", "-3", "--out", str(out)]) == 1
+    assert "--synthetic must be at least 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_one_on_bad_subcommand(capsys):
     assert main(["frobnicate"]) == 1
 
@@ -473,7 +480,7 @@ def test_exit_three_on_poisoned_training_images(tmp_path, capsys):
     px = np.full((3, 128, 128), 0.5, dtype=np.float32)
     px[0, 0, 0] = np.nan
     for i in range(2):
-        save_image(str(img_dir / f"img{i}.lsfi"), SpectralImage(px, ("", 0)))
+        save_image(str(img_dir / f"img{i}.lsfi"), SpectralImage(px))
     cfg = tmp_path / "run.cfg"
     cfg.write_text("steps=3\nbatch=2\n")
     code = main(["train-encoder", "--images", str(img_dir),
@@ -548,6 +555,13 @@ def test_pipeline_metrics_json(workdir):
     assert set(metrics) == {"accuracy", "f1", "auc", "tp", "fp", "tn", "fn"}
     assert metrics["tp"] + metrics["fp"] + metrics["tn"] + metrics["fn"] == 5
     assert 0.0 <= metrics["accuracy"] <= 1.0
+
+
+def test_eval_empty_modality_list_exits_one(workdir, capsys):
+    code = main(["eval", "--latents", str(workdir / "codes.lsfl"),
+                 "--head", str(workdir / "head.lsfw"), "--modalities", ","])
+    assert code == 1
+    assert "modality list must not be empty" in capsys.readouterr().err
 
 
 def test_pipeline_curves_well_formed(workdir):

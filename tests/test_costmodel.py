@@ -106,10 +106,11 @@ def test_layer_cost_multiplies_batch():
 
 def test_preprocess_macs_pinned_total():
     report = costmodel.preprocess_cost()
-    assert report.macs == 771338
+    assert report.macs == 725700
     by_name = {r.name: r.macs for r in report.rows}
     assert by_name["dft"] == 4 * 33 * 65 * 64
-    assert by_name["resize"] == 4 * 3 * 128 * 128
+    assert by_name["resize"] == 4 * 128 * 128
+    assert by_name["colormap"] == 2 * 3 * 128 * 128
     assert by_name["frame_taper"] == 65 * 64
 
 

@@ -6,7 +6,6 @@ import pytest
 from latentfuse import fusion, synthetic
 from latentfuse import nnkernel as nn
 from latentfuse.errors import DataError, UsageError
-from latentfuse.vqvae import LatentCode
 
 from helpers import auc_by_pairs
 
@@ -37,14 +36,6 @@ def test_fuse_order_matters():
     b = fusion.fuse(lat, ["EMG", "ECG"])
     assert not np.array_equal(a.tensor, b.tensor)
     assert np.array_equal(a.tensor[0:4], b.tensor[4:8])
-
-
-def test_fuse_accepts_latent_codes():
-    rs = np.random.default_rng(1)
-    q = rs.standard_normal((4, 8, 8)).astype(np.float32)
-    code = LatentCode(np.zeros((8, 8), dtype=np.int64), q)
-    fused = fusion.fuse({"ECG": code}, ["ECG"])
-    assert np.array_equal(fused.tensor, q)
 
 
 def test_fuse_single_modality_is_identity():

@@ -246,8 +246,6 @@ def test_slide_windows_short_signal():
     assert len(windows) == 1
     assert windows[0].start_index == 0
     assert np.array_equal(windows[0].values, [0, 1, 2, 3, 4, 0, 0, 0])
-    with pytest.raises(DataError):
-        ingest.slide_windows(ch, window_len=8, stride=4, zero_fill=False)
 
 
 def test_slide_windows_counts_match_enumeration():

@@ -23,7 +23,6 @@ def test_rng_streams_are_deterministic():
     a = nn.seed_rng(1234)
     b = nn.seed_rng(1234)
     assert np.array_equal(a.uniform(1000), b.uniform(1000))
-    assert np.array_equal(a.normal((3, 7)), b.normal((3, 7)))
     assert np.array_equal(a.shuffle(257), b.shuffle(257))
 
 
@@ -35,13 +34,10 @@ def test_rng_vectorized_matches_scalar_draws():
     assert np.array_equal(block, singles)
 
 
-def test_rng_uniform_range_and_normal_moments():
+def test_rng_uniform_range():
     rng = nn.seed_rng(7)
     u = rng.uniform(50000)
     assert u.min() >= 0.0 and u.max() < 1.0
-    z = rng.normal(50000)
-    assert abs(z.mean()) < 0.03
-    assert abs(z.std() - 1.0) < 0.03
 
 
 def test_rng_shuffle_is_a_permutation():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from latentfuse import baseline, pipeline, synthetic, vqvae
-from latentfuse.errors import UsageError
+from latentfuse.cli import LatentEntry, sequences_from_latents
+from latentfuse.errors import DataError, UsageError
 from latentfuse.ingest import slide_windows
 from latentfuse.spectral import spectral_image
 
@@ -13,7 +14,7 @@ MODALITIES = pipeline.PERMUTATIONS[6]
 
 def _systems():
     unified = pipeline.UnifiedSystem(vqvae.build_model(128, 16, seed=0))
-    encoders = {m: baseline.splice(baseline.build_encoder(m, 16, seed=i))
+    encoders = {m: baseline.build_encoder(m, 16, seed=i)
                 for i, m in enumerate(MODALITIES)}
     return {"unified": unified,
             "baseline": baseline.BaselineSystem(encoders, head=None)}
@@ -57,6 +58,43 @@ def test_stream_to_sequences_fuses_each_window_and_labels_by_last_step(kind):
                 assert np.array_equal(block, want)
 
 
+def test_stream_and_latent_file_align_alike():
+    """One stream encoded in memory, or written as code indices and read back
+    (here in reverse order), gives bitwise-equal steps and labels."""
+    cfg = pipeline.PipelineConfig(seq_len=3)
+    stream = synthetic.make_stream(n_samples=744, segment_len=300, seed=3)
+    system = pipeline.UnifiedSystem(vqvae.build_model(128, 16, seed=0))
+    modalities = pipeline.PERMUTATIONS[3]
+
+    samples = pipeline.stream_to_sequences(system, stream, 3, cfg)
+
+    derived = pipeline.derive_acc_magnitude(stream)
+    entries = [LatentEntry(m, w.start_index, w.label, vqvae.encode_image(
+                   system.model, spectral_image(w, cfg.spectral)).indices)
+               for m in modalities
+               for w in slide_windows(derived.channels[m], derived.labels,
+                                      cfg.window_len, cfg.stride)]
+    from_file = sequences_from_latents(entries[::-1], system.model.codebook,
+                                       modalities, cfg.seq_len)
+    assert len(samples) == len(from_file) == 2
+    for a, b in zip(samples, from_file):
+        assert a.label == b.label
+        assert len(a.steps) == len(b.steps) == cfg.seq_len
+        for x, y in zip(a.steps, b.steps):
+            assert x.modality_order == y.modality_order == modalities
+            assert x.tensor.dtype == y.tensor.dtype
+            assert x.tensor.tobytes() == y.tensor.tobytes()
+
+
+def test_stream_shorter_than_one_sequence_is_data_error():
+    cfg = pipeline.PipelineConfig(seq_len=3)
+    # 224 samples hold exactly two windows (starts 0 and 96), one too few
+    stream = synthetic.make_stream(n_samples=224, seed=3)
+    system = pipeline.UnifiedSystem(vqvae.build_model(128, 16, seed=0))
+    with pytest.raises(DataError, match="seq_len=3"):
+        pipeline.stream_to_sequences(system, stream, 2, cfg)
+
+
 class _CountingSystem:
     """Forwards to a system and records which modalities it encodes."""
 
@@ -83,7 +121,7 @@ def test_encoding_runs(kind):
 
 
 def test_encoding_runs_missing_encoder_fails_untimed():
-    encoders = {"ECG": baseline.splice(baseline.build_encoder("ECG", 16, seed=0))}
+    encoders = {"ECG": baseline.build_encoder("ECG", 16, seed=0)}
     system = _CountingSystem(baseline.BaselineSystem(encoders, head=None))
     with pytest.raises(UsageError):
         pipeline.encoding_runs(system, 2, 3)

@@ -34,7 +34,7 @@ def test_model_parameter_budget():
 
 def test_encode_shape_and_determinism():
     model = vqvae.build_model(codebook_size=8, embed_dim=16, seed=3)
-    img = SpectralImage(small_images(1, seed=5)[0], ("ECG", 0))
+    img = SpectralImage(small_images(1, seed=5)[0])
     z1 = vqvae.encode(model, img)
     z2 = vqvae.encode(model, img)
     assert z1.shape == (16, 16, 16)
@@ -44,10 +44,10 @@ def test_encode_shape_and_determinism():
 def test_encode_responds_to_input():
     model = vqvae.build_model(codebook_size=8, embed_dim=16, seed=3)
     px = small_images(1, seed=5)[0]
-    z1 = vqvae.encode(model, SpectralImage(px, ("", 0)))
+    z1 = vqvae.encode(model, SpectralImage(px))
     px2 = px.copy()
     px2[:, 64, 64] += 0.25
-    z2 = vqvae.encode(model, SpectralImage(px2, ("", 0)))
+    z2 = vqvae.encode(model, SpectralImage(px2))
     assert np.abs(z1 - z2).max() > 0.0
 
 
@@ -362,12 +362,11 @@ def test_model_roundtrip_encodes_bitwise(tmp_path):
     path = str(tmp_path / "m.lsfw")
     vqvae.save_model(model, path)
     loaded = vqvae.load_model(path)
-    img = SpectralImage(small_images(1, seed=8)[0], ("EDA", 96))
+    img = SpectralImage(small_images(1, seed=8)[0])
     a = vqvae.encode_image(model, img)
     b = vqvae.encode_image(loaded, img)
     assert np.array_equal(a.indices, b.indices)
     assert np.array_equal(a.quantized, b.quantized)
-    assert a.source == ("EDA", 96)
     x1 = vqvae.decode(model, a.quantized)
     x2 = vqvae.decode(loaded, b.quantized)
     assert np.array_equal(x1, x2)
@@ -378,7 +377,7 @@ def test_encoder_only_file_cannot_decode(tmp_path):
     path = str(tmp_path / "enc.lsfw")
     vqvae.save_model(model, path, include_decoder=False)
     loaded = vqvae.load_model(path)
-    img = SpectralImage(small_images(1)[0], ("", 0))
+    img = SpectralImage(small_images(1)[0])
     vqvae.encode_image(loaded, img)  # encoding still works
     with pytest.raises(UsageError):
         vqvae.decode(loaded, np.zeros((8, 16, 16), dtype=np.float32))
