@@ -113,7 +113,7 @@ def _backward_with_tail(encoder: ModalityEncoder, cache, grad_logits: np.ndarray
     cells = feat_shape[2] * feat_shape[3]
     gfeats = np.broadcast_to(gpool[:, :, None, None] / cells, feat_shape)
     nn.stack_backward(encoder.features, encoder.store, caches,
-                      gfeats.astype(np.float32))
+                      gfeats.astype(np.float32), need_grad_in=False)
 
 
 def pretrain_encoder(modality: str, images: np.ndarray, labels: np.ndarray,

@@ -192,7 +192,8 @@ def backward_logits(head: ClassifierHead, caches, grad_logits: np.ndarray) -> No
                      grad_logits[:, None].astype(np.float32))
     for conv_cache, cell_cache, feat_shape in reversed(step_caches):
         gx, gh = nn.backward(head.cell, head.store, cell_cache, gh)
-        nn.stack_backward(head.conv, head.store, conv_cache, gx.reshape(feat_shape))
+        nn.stack_backward(head.conv, head.store, conv_cache, gx.reshape(feat_shape),
+                          need_grad_in=False)
 
 
 def classify(head: ClassifierHead, sample: SequenceSample) -> float:

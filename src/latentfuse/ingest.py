@@ -211,6 +211,8 @@ def load_labels(path: str) -> list[tuple[int, int]]:
             raise DataError(f"{path}: line {line_no}: malformed label row") from None
         if lab not in (0, 1):
             raise DataError(f"{path}: line {line_no}: label must be 0 or 1")
+        if idx < 0:
+            raise DataError(f"{path}: line {line_no}: start_index is negative")
         if out and idx < out[-1][0]:
             raise DataError(f"{path}: line {line_no}: start_index decreases")
         out.append((idx, lab))

@@ -29,6 +29,7 @@ Conventions, pinned for cross-run reproducibility:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -324,26 +325,90 @@ def sigmoid_fn(x: np.ndarray) -> np.ndarray:
 
 
 def _im2col(x: np.ndarray, k: int, s: int, p: int) -> tuple[np.ndarray, int, int]:
+    """Patch columns of shape (n, c*k*k, ho*wo), stored image-interleaved.
+
+    The memory order is (c*k*k, n, ho*wo): each image's (c*k*k, ho*wo) matrix
+    is a strided view that BLAS takes as is, and all images' columns side by
+    side are a (c*k*k, n*ho*wo) view, which `_weight_grad` hands to one GEMM.
+    """
     n, c, h, w = x.shape
     xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
     xp[:, :, p:p + h, p:p + w] = x
     ho = (h + 2 * p - k) // s + 1
     wo = (w + 2 * p - k) // s + 1
     sn, sc, sh, sw = xp.strides
-    windows = as_strided(xp, (n, c, k, k, ho, wo), (sn, sc, sh, sw, sh * s, sw * s))
-    cols = windows.reshape(n, c * k * k, ho * wo)
-    return cols, ho, wo
+    windows = as_strided(xp, (c, k, k, n, ho, wo), (sc, sh, sw, sn, sh * s, sw * s))
+    cols = windows.reshape(c * k * k, n, ho * wo)
+    return cols.transpose(1, 0, 2), ho, wo
+
+
+def _weight_grad(grad_rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """sum over images b of grad_rows[b] @ cols[b].T, as one GEMM.
+
+    grad_rows is (n, r, P) and cols an `_im2col` result, whose (rows, n*P)
+    matrix is a view. The operand shapes are those np.tensordot over axes
+    (0, 2) builds, minus its transposed copy of cols.
+    """
+    gm = grad_rows.transpose(1, 0, 2).reshape(grad_rows.shape[1], -1)
+    rows = cols.transpose(1, 0, 2)
+    return np.dot(gm, rows.reshape(rows.shape[0], -1).T)
 
 
 def _col2im(cols: np.ndarray, x_shape: tuple[int, ...], k: int, s: int, p: int,
             ho: int, wo: int) -> np.ndarray:
+    """Adjoint of `_im2col`: add every column entry back onto its pixel.
+
+    Each pixel sums its taps onto +0.0 in (i, j) order, so the result is
+    bitwise that of adding one strided (ho, wo) tap plane at a time into a
+    zeroed padded image. Padded pixel (Y*s + py, X*s + px) lives in phase
+    grid (py, px) at (Y, X), where tap (i, j) of phase (i % s, j % s) is its
+    plane shifted by (i // s, j // s). Grid rows are stored wo wide, so a
+    tap is one long add per plane; the entries that pass column wo wrap into
+    the first q - 1 columns of the next row, and those columns, with the
+    ones from wo on, are summed apart column by column.
+    """
     n, c, h, w = x_shape
-    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=cols.dtype)
-    cols6 = cols.reshape(n, c, k, k, ho, wo)
-    for i in range(k):
-        for j in range(k):
-            xp[:, :, i:i + s * ho:s, j:j + s * wo:s] += cols6[:, :, i, j]
-    return xp[:, :, p:p + h, p:p + w].copy()
+    dtype = cols.dtype
+    q = -(-k // s)  # most taps per axis in one phase
+    hq = max(ho + q - 1, (h + p - 1) // s + 1)
+    wq = max(wo + q - 1, (w + p - 1) // s + 1)
+    edge_x = [x for x in range(wq) if x < q - 1 or x >= wo]
+    taps = cols.reshape(n * c, k, k, ho, wo)
+    grid = np.zeros((s, s, n * c, hq * wo), dtype=dtype)
+    edge = np.zeros((s, s, n * c, hq, len(edge_x)), dtype=dtype)
+    # phase by phase, so one phase grid stays in cache across its taps
+    for py, px in product(range(s), repeat=2):
+        for i in range(py, k, s):
+            for j in range(px, k, s):
+                dy, dx = i // s, j // s
+                off = dy * wo + dx
+                span = min(ho * wo, hq * wo - off)
+                grid[py, px, :, off:off + span] += \
+                    taps[:, i, j].reshape(n * c, ho * wo)[:, :span]
+                for e, x in enumerate(edge_x):
+                    if 0 <= x - dx < wo:
+                        edge[py, px, :, dy:dy + ho, e] += taps[:, i, j, :, x - dx]
+    grid = grid.reshape(s, s, n, c, hq, wo)
+    edge = edge.reshape(s, s, n, c, hq, len(edge_x))
+    for e, x in enumerate(edge_x):
+        if x < wo:
+            grid[..., x] = edge[..., e]
+    out = np.empty(x_shape, dtype=dtype)
+    for py in range(s):
+        y0 = (py - p) % s
+        gy = (y0 + p) // s
+        rows = slice(gy, gy + len(range(y0, h, s)))
+        for px in range(s):
+            x0 = (px - p) % s
+            gx = (x0 + p) // s
+            width = len(range(x0, w, s))
+            inner = max(0, min(width, wo - gx))
+            dst = out[:, :, y0::s, x0::s]
+            dst[..., :inner] = grid[py, px, :, :, rows, gx:gx + inner]
+            if inner < width:
+                e = edge_x.index(gx + inner)
+                dst[..., inner:] = edge[py, px, :, :, rows, e:e + width - inner]
+    return out
 
 
 def _check_image_input(desc: LayerDescriptor, x: np.ndarray) -> None:
@@ -432,20 +497,25 @@ def forward(desc: LayerDescriptor, store: ParamStore, x):
     raise UsageError(f"unknown layer kind: {desc.kind}")
 
 
-def backward(desc: LayerDescriptor, store: ParamStore, cache, grad_out):
+def backward(desc: LayerDescriptor, store: ParamStore, cache, grad_out, *,
+             need_grad_in: bool = True):
     """Backpropagate one layer; accumulates parameter grads, returns grad_in.
 
     For recurrent_cell, grad_out is dL/dh' and the return value is the pair
-    (dL/dx, dL/dh).
+    (dL/dx, dL/dh). With need_grad_in False only the parameter grads are
+    accumulated (bitwise as with True) and None is returned.
     """
+    if not need_grad_in and not param_specs(desc):
+        return None
     if desc.kind == "conv2d":
         x_shape, cols, ho, wo = cache
         n = x_shape[0]
         w = store.values[f"{desc.name}.w"]
         gm = grad_out.reshape(n, desc.out_channels, ho * wo)
-        gw = np.tensordot(gm, cols, axes=([0, 2], [0, 2]))
-        store.accumulate(f"{desc.name}.w", gw.reshape(w.shape))
+        store.accumulate(f"{desc.name}.w", _weight_grad(gm, cols).reshape(w.shape))
         store.accumulate(f"{desc.name}.b", gm.sum(axis=(0, 2)))
+        if not need_grad_in:
+            return None
         wm = w.reshape(desc.out_channels, -1)
         gcols = np.matmul(wm.T, gm)
         return _col2im(gcols, x_shape, desc.kernel, desc.stride, desc.padding, ho, wo)
@@ -455,9 +525,10 @@ def backward(desc: LayerDescriptor, store: ParamStore, cache, grad_out):
         w = store.values[f"{desc.name}.w"]
         k, s, p = desc.kernel, desc.stride, desc.padding
         gcols, _, _ = _im2col(grad_out, k, s, p)
-        gw = np.tensordot(xf, gcols, axes=([0, 2], [0, 2]))
-        store.accumulate(f"{desc.name}.w", gw.reshape(w.shape))
+        store.accumulate(f"{desc.name}.w", _weight_grad(xf, gcols).reshape(w.shape))
         store.accumulate(f"{desc.name}.b", grad_out.sum(axis=(0, 2, 3)))
+        if not need_grad_in:
+            return None
         wm = w.reshape(desc.in_channels, -1)
         gx = np.matmul(wm, gcols)
         return gx.reshape(xf.shape[0], desc.in_channels, h, wdt)
@@ -467,7 +538,7 @@ def backward(desc: LayerDescriptor, store: ParamStore, cache, grad_out):
         w = store.values[f"{desc.name}.w"]
         store.accumulate(f"{desc.name}.w", grad_out.T @ x)
         store.accumulate(f"{desc.name}.b", grad_out.sum(axis=0))
-        return grad_out @ w
+        return grad_out @ w if need_grad_in else None
 
     if desc.kind == "relu":
         (mask,) = cache
@@ -478,10 +549,8 @@ def backward(desc: LayerDescriptor, store: ParamStore, cache, grad_out):
         return grad_out * y * (1.0 - y)
 
     if desc.kind == "residual_block":
-        g = grad_out
-        for d, cache_d in zip(reversed(desc.inner), reversed(cache)):
-            g = backward(d, store, cache_d, g)
-        return grad_out + g
+        g = stack_backward(desc.inner, store, cache, grad_out, need_grad_in=need_grad_in)
+        return grad_out + g if need_grad_in else None
 
     if desc.kind == "recurrent_cell":
         xin, h, u, r, rh, c = cache
@@ -510,7 +579,7 @@ def backward(desc: LayerDescriptor, store: ParamStore, cache, grad_out):
         store.accumulate(f"{nm}.bu", dau.sum(axis=0))
         gx += dau @ p[f"{nm}.wxu"]
         gh = gh + dau @ p[f"{nm}.whu"]
-        return gx, gh
+        return (gx, gh) if need_grad_in else None
 
     raise UsageError(f"unknown layer kind: {desc.kind}")
 
@@ -524,10 +593,13 @@ def stack_forward(descs: Sequence[LayerDescriptor], store: ParamStore, x: np.nda
 
 
 def stack_backward(descs: Sequence[LayerDescriptor], store: ParamStore, caches,
-                   grad_out: np.ndarray) -> np.ndarray:
+                   grad_out: np.ndarray, *, need_grad_in: bool = True
+                   ) -> np.ndarray | None:
+    """Backpropagate a stack; with need_grad_in False its first layer skips
+    its input gradient and None is returned."""
     g = grad_out
-    for d, cache in zip(reversed(descs), reversed(caches)):
-        g = backward(d, store, cache, g)
+    for i in range(len(descs) - 1, -1, -1):
+        g = backward(descs[i], store, caches[i], g, need_grad_in=need_grad_in or i > 0)
     return g
 
 

@@ -296,7 +296,8 @@ def train_vqvae(dataset: list[SpectralImage] | np.ndarray,
         dz_q = nn.stack_backward(model.decoder, store, dec_caches,
                                  gx_hat.astype(np.float32))
         dz_e = dz_q + cfg.beta * (2.0 / z_e.size) * (z_e - z_q)
-        nn.stack_backward(model.encoder, store, enc_caches, dz_e.astype(np.float32))
+        nn.stack_backward(model.encoder, store, enc_caches, dz_e.astype(np.float32),
+                          need_grad_in=False)
 
         # codebook term: pulls each used entry toward its assigned vectors
         vecs = z_e.transpose(0, 2, 3, 1).reshape(-1, cfg.embed_dim)

@@ -202,3 +202,28 @@ def im2col_by_loops(x: np.ndarray, k: int, s: int, p: int) -> tuple[np.ndarray, 
                             if 0 <= y < h and 0 <= xx < w:
                                 cols[b, row, oy * wo + ox] = x[b, ch, y, xx]
     return cols, ho, wo
+
+
+def col2im_by_loops(cols: np.ndarray, x_shape: tuple[int, ...], k: int, s: int,
+                    p: int) -> np.ndarray:
+    """Add every patch-column entry back onto its input pixel, one at a time.
+
+    The inverse walk of im2col_by_loops: entry (b, (ch*k + i)*k + j, oy*wo + ox)
+    is added onto x[b, ch, oy*s + i - p, ox*s + j - p] unless that falls in
+    the padding. Each pixel starts at 0.0 and takes its taps in (i, j) order.
+    """
+    n, c, h, w = x_shape
+    ho = (h + 2 * p - k) // s + 1
+    wo = (w + 2 * p - k) // s + 1
+    out = np.zeros(x_shape, dtype=cols.dtype)
+    for b in range(n):
+        for ch in range(c):
+            for i in range(k):
+                for j in range(k):
+                    row = (ch * k + i) * k + j
+                    for oy in range(ho):
+                        for ox in range(wo):
+                            y, xx = oy * s + i - p, ox * s + j - p
+                            if 0 <= y < h and 0 <= xx < w:
+                                out[b, ch, y, xx] += cols[b, row, oy * wo + ox]
+    return out

@@ -76,6 +76,42 @@ def test_load_labels_file(tmp_path):
         ingest.load_labels(bad)
 
 
+def test_load_labels_negative_start_is_data_error(tmp_path):
+    p = write(tmp_path / "l.csv", "start_index,label\n-5,1\n3,0\n")
+    with pytest.raises(DataError, match="line 2.*negative"):
+        ingest.load_labels(p)
+
+
+@pytest.mark.parametrize("kind", ["stream", "labels"])
+def test_flipped_csv_loads_or_is_data_error(tmp_path, kind):
+    """Every single-byte corruption of a valid file loads or is a DataError
+    naming the file, never another exception."""
+    if kind == "stream":
+        data = b"timestamp,ecg,label\n0.0,1.5,0\n0.5,-2.0,\n1.0,3.25,1\n1.5,4e1,0\n"
+
+        def load(path):
+            return ingest.load_stream(path, {"ecg": "ECG", "label": "label"})
+    else:
+        data = b"start_index,label\n0,0\n512,1\n1024,0\n"
+        load = ingest.load_labels
+    load(write(tmp_path / "valid.csv", data.decode()))
+    cases = [(pos, mask) for pos in range(len(data)) for mask in (0xFF, 0x80)]
+    # 0xff and 0x80 turn an ASCII byte into a non-UTF-8 one; 0x01 keeps it
+    # ASCII and so reaches the parser. A stream header with a schema column
+    # renamed is a UsageError by contract, so the stream's header is skipped.
+    first_row = data.index(b"\n") + 1 if kind == "stream" else 0
+    cases += [(pos, 0x01) for pos in range(first_row, len(data))]
+    path = tmp_path / "flipped.csv"
+    for pos, mask in cases:
+        flipped = bytearray(data)
+        flipped[pos] ^= mask
+        path.write_bytes(bytes(flipped))
+        try:
+            load(str(path))
+        except DataError as exc:
+            assert str(path) in str(exc), (pos, mask, str(exc))
+
+
 def test_label_at_change_points():
     labels = [(4, 1), (10, 0), (20, 1)]
     assert ingest.label_at(labels, 0) == 0

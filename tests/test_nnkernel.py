@@ -6,7 +6,7 @@ import pytest
 from latentfuse import nnkernel as nn
 from latentfuse.errors import NumericError, UsageError
 
-from helpers import fd_param_error, fd_array_error, im2col_by_loops
+from helpers import col2im_by_loops, fd_param_error, fd_array_error, im2col_by_loops
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +371,31 @@ def test_stack_backward_chains_layers():
     assert fd_array_error(loss, x, gx) < 1e-5
 
 
+@pytest.mark.parametrize("first", ["conv2d", "conv_transpose2d", "residual_block"])
+def test_stack_backward_without_input_grad_keeps_param_grads_bitwise(first):
+    lead = {"conv2d": nn.conv2d("a", 3, 6, 4, s=2, p=1),
+            "conv_transpose2d": nn.conv_transpose2d("a", 3, 6, 4, s=2, p=1),
+            "residual_block": nn.residual_block("a", 3)}[first]
+    descs = [lead, nn.relu()]
+    shape = nn.stack_out_shape(descs, (3, 8, 8))
+    descs += [nn.conv2d("b", shape[0], 4, 3, s=2, p=1), nn.relu(),
+              nn.residual_block("r", 4)]
+    store = nn.ParamStore()
+    nn.init_params(descs, store, nn.seed_rng(4))
+    rs = np.random.default_rng(4)
+    x = rs.standard_normal((8, 3, 8, 8)).astype(np.float32)
+    y, caches = nn.stack_forward(descs, store, x)
+    coef = rs.standard_normal(y.shape).astype(np.float32)
+    gx = nn.stack_backward(descs, store, caches, coef)
+    assert gx.shape == x.shape
+    want = {name: g.copy() for name, g in store.grads.items()}
+    store.zero_grads()
+    assert nn.stack_backward(descs, store, caches, coef, need_grad_in=False) is None
+    for name, g in store.grads.items():
+        assert g.dtype == np.float32
+        assert g.tobytes() == want[name].tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # Optimizer and losses
 # ---------------------------------------------------------------------------
@@ -454,3 +479,19 @@ def test_im2col_matches_patch_loop_bitwise(k, s, p, n, c):
         assert (ho, wo) == (want_ho, want_wo)
         assert cols.dtype == want.dtype
         assert cols.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("k,s,p", [(4, 2, 1), (3, 1, 1), (3, 2, 1)])
+@pytest.mark.parametrize("n,c", [(1, 3), (8, 3), (8, 5)])
+def test_col2im_matches_loop_bitwise(k, s, p, n, c):
+    rs = np.random.default_rng(k * 100 + s * 10 + n + c)
+    shape = (n, c, 10, 7)
+    ho, wo = (10 + 2 * p - k) // s + 1, (7 + 2 * p - k) // s + 1
+    for dtype in (np.float32, np.float64):
+        cols = rs.normal(size=(n, c * k * k, ho * wo)).astype(dtype)
+        # the last channel's taps are all -0.0, so its pixels must read +0.0
+        cols[:, -k * k:] = -0.0
+        got = nn._col2im(cols, shape, k, s, p, ho, wo)
+        want = col2im_by_loops(cols, shape, k, s, p)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
