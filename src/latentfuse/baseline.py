@@ -48,11 +48,9 @@ def build_feature_stack(modality: str, embed_dim: int = 16) -> list[nn.LayerDesc
 class ModalityEncoder:
     """Feature stack plus the pretraining tail (pool + dense to 2 logits)."""
 
-    modality: str
     features: list[nn.LayerDescriptor]
     tail: nn.LayerDescriptor
     store: nn.ParamStore
-    embed_dim: int
 
 
 @dataclass
@@ -96,7 +94,7 @@ def build_encoder(modality: str, embed_dim: int = 16, seed: int = 0) -> Modality
     rng = nn.seed_rng(seed)
     nn.init_params(features, store, rng)
     nn.init_params([tail], store, rng)
-    return ModalityEncoder(modality, features, tail, store, embed_dim)
+    return ModalityEncoder(features, tail, store)
 
 
 def _forward_with_tail(encoder: ModalityEncoder, x: np.ndarray):

@@ -38,8 +38,8 @@ from .fusion import (ClassifierConfig, SequenceSample, evaluate, load_head,
 from .ingest import (Window, load_labels, load_stream, prepare_stream,
                      window_stream)
 from .spectral import TAPERS, SpectralConfig, load_image, spectral_image
-from .vqvae import (GRID, Codebook, VqVaeConfig, encode_image, load_model,
-                    save_model, train_vqvae, write_loss_curve)
+from .vqvae import (GRID, Codebook, VqVaeConfig, build_model, encode_image,
+                    load_model, save_model, train_vqvae, write_loss_curve)
 
 log = logging.getLogger(__name__)
 
@@ -212,10 +212,12 @@ def read_dataset(path: str) -> tuple[dict[str, list[Window]], int]:
                                    "dataset file", "re-run ingest")
     names, offset = _read_name_table(data, offset, path)
     (window_len,), offset = binio.unpack("<I", data, offset, path, "header")
+    if window_len < 1:
+        raise DataError(f"{path}: window length {window_len}, expected at least 1")
     windows: dict[str, list[Window]] = {n: [] for n in names}
     for name, start, label, values in _read_records(data, offset, path, names,
                                                     "window", "<f4", window_len):
-        windows[name].append(Window(name, start, values.astype(np.float64), label))
+        windows[name].append(Window(start, values.astype(np.float64), label))
     return windows, window_len
 
 
@@ -252,9 +254,10 @@ def read_latents(path: str) -> tuple[list[LatentEntry], Codebook]:
     data, offset = binio.read_file(path, _LATENT_MAGIC, _LATENT_VERSION,
                                    "latent file", "re-run encode")
     (k, d, grid), offset = binio.unpack("<III", data, offset, path, "header")
-    if k < 2 or d < 1:
-        raise DataError(f"{path}: codebook has shape {(k, d)}, expected at least "
-                        f"2 codes of dimension at least 1")
+    if k < 2 or d < 1 or grid < 1:
+        raise DataError(f"{path}: codebook has shape {(k, d)} and grid {grid}, "
+                        f"expected at least 2 codes of dimension at least 1 on a "
+                        f"grid of at least 1")
     if offset + 4 * k * d > len(data):
         raise TruncatedPayloadError(f"{path}: truncated {k} x {d} codebook")
     codebook = Codebook(np.frombuffer(data, "<f4", k * d, offset).reshape(k, d).copy())
@@ -325,6 +328,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_dump(args: argparse.Namespace) -> int:
+    if args.limit < 0:
+        raise UsageError(f"--limit must be at least 0, got {args.limit}")
     windows, window_len = read_dataset(args.data)
     printed = 0
     for name in sorted(windows):
@@ -425,19 +430,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_synthetic_systems(cfg: RunConfig):
-    """Seeded-initialization systems: runtime depends on shapes, not weights."""
-    from .vqvae import build_model
-    model = build_model(cfg.codebook_size, cfg.embed_dim, cfg.seed)
-    unified = pipeline.UnifiedSystem(model)
-    encoders = {}
-    all_mods = pipeline.PERMUTATIONS[6]
-    for i, name in enumerate(all_mods):
-        encoders[name] = baseline_mod.build_encoder(name, cfg.embed_dim, cfg.seed + i)
-    base = baseline_mod.BaselineSystem(encoders, head=None)
-    return unified, base
-
-
 def _bench_metrics_rows(cfg: RunConfig) -> list[dict]:
     """Train and evaluate the unified pipeline per fusion size on synthetic data."""
     from .synthetic import make_images, make_stream
@@ -470,21 +462,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise UsageError(f"--repeat must be at least 1, got {args.repeat}")
     os.makedirs(args.out_dir, exist_ok=True)
     pcfg = cfg.pipeline()
-
-    if args.synthetic:
-        unified, base = _build_synthetic_systems(cfg)
-    else:
-        if not args.model or not args.encoders:
-            raise UsageError("bench needs --synthetic, or --model plus "
-                             "--encoders pointing at trained systems")
-        unified = pipeline.UnifiedSystem(load_model(args.model))
-        encoders = {}
-        for name in pipeline.PERMUTATIONS[6]:
-            path = os.path.join(args.encoders, f"{name}.lsfw")
-            if not os.path.exists(path):
-                raise DataError(f"missing baseline encoder weights: {path}")
-            encoders[name] = baseline_mod.load_extractor(path, name, cfg.embed_dim)
-        base = baseline_mod.BaselineSystem(encoders, head=None)
+    # seeded-initialization systems of the config's architecture: encode time
+    # depends on shapes, not on trained weights
+    unified = pipeline.UnifiedSystem(build_model(cfg.codebook_size, cfg.embed_dim,
+                                                 cfg.seed))
+    base = baseline_mod.BaselineSystem(
+        {name: baseline_mod.build_encoder(name, cfg.embed_dim, cfg.seed + i)
+         for i, name in enumerate(pipeline.PERMUTATIONS[6])}, head=None)
 
     rows = costmodel.scaling_table((1, 2, 3, 4, 5, 6), cfg.embed_dim,
                                    cfg.codebook_size, 1, cfg.window_len,
@@ -587,11 +571,8 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="key=value config file")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("bench", help="emit scaling/runtime/metrics figure data")
-    p.add_argument("--synthetic", action="store_true",
-                   help="build systems from seeded synthetic data")
-    p.add_argument("--model", help="trained unified encoder (.lsfw)")
-    p.add_argument("--encoders", help="directory of per-modality .lsfw files")
+    p = sub.add_parser("bench", help="emit scaling/runtime/metrics figure data "
+                                     "for the config's architecture")
     p.add_argument("--out-dir", default="bench_out", help="output directory")
     p.add_argument("--repeat", type=int, default=10, help="timed runs per point")
     p.add_argument("--skip-metrics", action="store_true",

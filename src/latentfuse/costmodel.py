@@ -76,16 +76,11 @@ class CostReport:
 @dataclass
 class PipelineCost:
     stages: dict[str, CostReport]
-    m: int
     encoder_loads: int
 
     @property
     def total_macs(self) -> int:
         return sum(s.macs for s in self.stages.values())
-
-    @property
-    def total_params(self) -> int:
-        return sum(s.params for s in self.stages.values())
 
 
 def _shape_elems(shape: tuple[int, ...]) -> int:
@@ -257,7 +252,7 @@ def pipeline_cost(kind: str, m: int, embed_dim: int = 16, codebook_size: int = 1
     fuse_stage = fuse_cost(m, embed_dim, GRID, seq_len)
     classify = head_cost(m * embed_dim, seq_len, GRID)
     return PipelineCost({"preprocess": pre, "encode": enc, "fuse": fuse_stage,
-                         "classify": classify}, m, loads)
+                         "classify": classify}, loads)
 
 
 # ---------------------------------------------------------------------------

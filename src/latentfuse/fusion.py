@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -29,7 +30,6 @@ log = logging.getLogger(__name__)
 
 HEAD_CHANNELS = 16
 HEAD_HIDDEN = 64
-DEFAULT_SEQ_LEN = 8
 
 
 @dataclass
@@ -124,12 +124,6 @@ class ClassifierHead:
     cell: nn.LayerDescriptor
     out: nn.LayerDescriptor
     store: nn.ParamStore
-    in_channels: int
-    grid: int
-
-    @property
-    def x_dim(self) -> int:
-        return self.cell.in_features
 
 
 def head_layers(in_channels: int, grid: int = GRID, hidden: int = HEAD_HIDDEN
@@ -154,7 +148,7 @@ def build_head(in_channels: int, grid: int = GRID, hidden: int = HEAD_HIDDEN,
     rng = nn.seed_rng(seed)
     nn.init_params(conv, store, rng)
     nn.init_params([cell, out], store, rng)
-    return ClassifierHead(conv, cell, out, store, in_channels, grid)
+    return ClassifierHead(conv, cell, out, store)
 
 
 def _sequence_batch(samples: Sequence[SequenceSample]) -> tuple[np.ndarray, np.ndarray]:
@@ -171,9 +165,6 @@ def _sequence_batch(samples: Sequence[SequenceSample]) -> tuple[np.ndarray, np.n
 def forward_logits(head: ClassifierHead, x: np.ndarray):
     """Logits for a (B, L, C, g, g) batch; also returns caches for backward."""
     b, seq_len = x.shape[0], x.shape[1]
-    if x.shape[2] != head.in_channels or x.shape[3] != head.grid:
-        raise UsageError(f"batch shape {x.shape[2:]} does not match head built for "
-                         f"({head.in_channels}, {head.grid}, {head.grid})")
     h = np.zeros((b, head.cell.hidden), dtype=np.float32)
     step_caches = []
     for t in range(seq_len):
@@ -198,9 +189,7 @@ def backward_logits(head: ClassifierHead, caches, grad_logits: np.ndarray) -> No
 
 def classify(head: ClassifierHead, sample: SequenceSample) -> float:
     """Probability of the positive (high-stress) class for one sequence."""
-    x, _ = _sequence_batch([sample])
-    logits, _ = forward_logits(head, x)
-    return float(nn.sigmoid_fn(logits)[0])
+    return float(predict_scores(head, [sample])[0])
 
 
 def predict_scores(head: ClassifierHead, dataset: Sequence[SequenceSample],
@@ -297,14 +286,13 @@ def load_head(path: str) -> ClassifierHead:
     if in_channels < 1 or hidden < 1:
         raise DataError(f"{path}: head tensors imply in_channels {in_channels} "
                         f"and hidden {hidden}; both must be at least 1")
-    grid = 4 * int(round(np.sqrt(x_dim / HEAD_CHANNELS)))
-    if grid < 1:
-        raise DataError(f"{path}: cell input dim {x_dim} fits no grid at "
-                        f"{HEAD_CHANNELS} feature channels")
-    head = build_head(in_channels, grid, hidden, seed=0)
-    if head.x_dim != x_dim:
-        raise DataError(f"{path}: cell input dim {x_dim} inconsistent with grid "
-                        f"{grid} at {HEAD_CHANNELS} feature channels")
+    # two stride-2 convs map a 4s x 4s grid (and any grid they reduce to the
+    # same s x s) to HEAD_CHANNELS*s*s features; the grid itself is not stored
+    side = math.isqrt(x_dim // HEAD_CHANNELS)
+    if side < 1 or x_dim != HEAD_CHANNELS * side * side:
+        raise DataError(f"{path}: cell input dim {x_dim} is not {HEAD_CHANNELS}*s*s "
+                        f"for any s >= 1")
+    head = build_head(in_channels, 4 * side, hidden, seed=0)
     load_into(head.store, tensors, path)
     return head
 

@@ -29,8 +29,6 @@ from .errors import DataError, UsageError
 
 log = logging.getLogger(__name__)
 
-MODALITIES = ("ECG", "EMG", "EDA", "Temp", "Resp", "AccX", "AccY", "AccZ")
-
 DEFAULT_WINDOW_LEN = 128
 DEFAULT_STRIDE = 96
 
@@ -88,7 +86,6 @@ class MultimodalStream:
 
 @dataclass(frozen=True)
 class Window:
-    channel_name: str
     start_index: int
     values: np.ndarray
     label: int
@@ -316,7 +313,7 @@ def slide_windows(channel: Channel, labels: list[tuple[int, int]] | None = None,
     for w in range(count):
         start = w * stride
         lab = label_at(labels, start + window_len - 1)
-        out.append(Window(channel.name, start, v[start:start + window_len].copy(), lab))
+        out.append(Window(start, v[start:start + window_len].copy(), lab))
 
     covered_to = (count - 1) * stride + window_len if count else 0
     if covered_to < n:
@@ -325,7 +322,7 @@ def slide_windows(channel: Channel, labels: list[tuple[int, int]] | None = None,
         real = v[start:n]
         tail[:real.size] = real
         lab = label_at(labels, n - 1)
-        out.append(Window(channel.name, start, tail, lab))
+        out.append(Window(start, tail, lab))
     return out
 
 

@@ -161,7 +161,7 @@ def encoding_runs(system, m: int, repeat: int,
     stream = derive_acc_magnitude(make_stream(n_samples=cfg.window_len * 2, seed=1234))
     images = []
     for name in modalities:
-        window = Window(name, 0, stream.channels[name].values[:cfg.window_len], 0)
+        window = Window(0, stream.channels[name].values[:cfg.window_len], 0)
         images.append((name, spectral_image(window, cfg.spectral)))
     runs = []
     for _ in range(repeat + 1):

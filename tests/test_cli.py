@@ -83,7 +83,7 @@ def _sample_windows():
     windows = {}
     for name in ("ECG", "EMG"):
         windows[name] = [
-            Window(name, s, rs.normal(0, 1, 16).astype(np.float32).astype(np.float64),
+            Window(s, rs.normal(0, 1, 16).astype(np.float32).astype(np.float64),
                    int(s >= 16))
             for s in (0, 16, 32)
         ]
@@ -279,6 +279,25 @@ def test_container_label_past_one_is_data_error(tmp_path, fmt):
         read(str(path))
 
 
+@pytest.mark.parametrize("fmt", ["lsfd", "lsfl"])
+def test_container_sample_count_zero_exits_two(tmp_path, capsys, fmt):
+    # a window_len (.lsfd) or grid (.lsfl) of 0 in an otherwise valid file
+    path = tmp_path / f"x.{fmt}"
+    if fmt == "lsfd":
+        write_dataset(str(path), {"ECG": [Window(0, np.zeros(0), 0)]}, 0)
+        args = ["dump", "--data", str(path)]
+    else:
+        write_latents(str(path), _sample_entries(labels=[0, 1], grid=0), CODEBOOK, 0)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seq_len=1\n")
+        args = ["train-classifier", "--latents", str(path), "--modalities", "ECG",
+                "--out", str(tmp_path / "h.lsfw"), "--config", str(cfg)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err
+    assert str(path) in err
+
+
 def test_dataset_name_not_utf8_exits_two(tmp_path, capsys):
     path = tmp_path / "data.lsfd"
     write_dataset(str(path), _sample_windows(), 16)
@@ -327,6 +346,20 @@ def test_latents_codebook_too_large_for_u16_is_usage_error(tmp_path):
 # ---------------------------------------------------------------------------
 # Aligning latents into sequences
 # ---------------------------------------------------------------------------
+
+def test_train_and_eval_on_grid_ten_latents(tmp_path):
+    # the head file does not store its grid: eval must rebuild a head that
+    # takes the 10 x 10 latents it was trained on
+    codes, head = tmp_path / "codes.lsfl", tmp_path / "head.lsfw"
+    entries = _sample_entries(starts=tuple(range(0, 8 * 96, 96)),
+                              labels=[0, 0, 1, 1] * 2, grid=10)
+    write_latents(str(codes), entries, CODEBOOK, 10)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs=2\nbatch=4\nseq_len=2\n")
+    common = ["--latents", str(codes), "--modalities", "ECG,EMG", "--config", str(cfg)]
+    assert main(["train-classifier", "--out", str(head)] + common) == 0
+    assert main(["eval", "--head", str(head)] + common) == 0
+
 
 def test_sequences_align_and_label():
     entries = _sample_entries(starts=(0, 96, 192, 288), labels=[0, 0, 1, 1])
@@ -453,6 +486,15 @@ def test_train_encoder_negative_synthetic_exits_one(tmp_path, capsys):
     assert main(["train-encoder", "--synthetic", "-3", "--out", str(out)]) == 1
     assert "--synthetic must be at least 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_dump_negative_limit_exits_one(tmp_path, capsys):
+    path = tmp_path / "data.lsfd"
+    write_dataset(str(path), _sample_windows(), 16)
+    assert main(["dump", "--data", str(path), "--limit", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert "--limit must be at least 0" in captured.err
+    assert captured.out == ""
 
 
 def test_exit_one_on_bad_subcommand(capsys):
@@ -632,7 +674,7 @@ def test_bench_synthetic_outputs(tmp_path, capsys):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text("energy_per_mac=1e-12\n")
     out_dir = tmp_path / "bench"
-    code = main(["bench", "--synthetic", "--skip-metrics", "--repeat", "2",
+    code = main(["bench", "--skip-metrics", "--repeat", "2",
                  "--out-dir", str(out_dir), "--config", str(cfg)])
     assert code == 0
     present = sorted(os.listdir(out_dir))
@@ -672,7 +714,7 @@ def test_bench_synthetic_outputs(tmp_path, capsys):
 
 
 def test_bench_refuses_zero_repeat(tmp_path, capsys):
-    code = main(["bench", "--synthetic", "--skip-metrics", "--repeat", "0",
+    code = main(["bench", "--skip-metrics", "--repeat", "0",
                  "--out-dir", str(tmp_path / "bench")])
     assert code == 1
     assert "--repeat" in capsys.readouterr().err

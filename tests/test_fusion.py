@@ -203,16 +203,17 @@ def test_training_curve_csv(tmp_path):
     assert lines[2].startswith("1,0.5,")
 
 
-def test_head_roundtrip_scores_bitwise(tmp_path):
-    data = synthetic.make_separable_sequences(8, m=2, d=4, grid=8, seq_len=2,
+@pytest.mark.parametrize("grid", [8, 10])
+def test_head_roundtrip_scores_bitwise(tmp_path, grid):
+    data = synthetic.make_separable_sequences(8, m=2, d=4, grid=grid, seq_len=2,
                                               order=("ECG", "EMG"))
     head, _ = fusion.train_classifier(data, fusion.ClassifierConfig(epochs=2,
                                                                     batch=4))
     path = str(tmp_path / "head.lsfw")
     fusion.save_head(head, path)
     loaded = fusion.load_head(path)
-    assert loaded.in_channels == head.in_channels
-    assert loaded.grid == head.grid
+    assert loaded.conv[0].in_channels == head.conv[0].in_channels
+    assert loaded.cell.in_features == head.cell.in_features
     a = fusion.predict_scores(head, data)
     b = fusion.predict_scores(loaded, data)
     assert np.array_equal(a, b)
