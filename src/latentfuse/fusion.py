@@ -39,14 +39,6 @@ class FusedLatent:
     tensor: np.ndarray
     modality_order: tuple[str, ...]
 
-    @property
-    def m(self) -> int:
-        return len(self.modality_order)
-
-    @property
-    def d(self) -> int:
-        return self.tensor.shape[0] // self.m
-
 
 @dataclass
 class SequenceSample:
@@ -109,7 +101,7 @@ def group_sequences(steps: Sequence[FusedLatent], labels: Sequence[int],
 
 def unfuse(fused: FusedLatent) -> dict[str, np.ndarray]:
     """Slice the fused tensor back into its per-modality blocks."""
-    d = fused.d
+    d = fused.tensor.shape[0] // len(fused.modality_order)
     return {name: fused.tensor[i * d:(i + 1) * d].copy()
             for i, name in enumerate(fused.modality_order)}
 

@@ -124,7 +124,7 @@ def load_stream(path: str, schema: dict[str, str]) -> MultimodalStream:
         raise DataError(f"{path}: header has no timestamp column")
     for col in schema:
         if col not in header:
-            raise UsageError(f"schema column {col!r} not present in header of {path}")
+            raise DataError(f"{path}: header has no schema column {col!r}")
     ts_pos = header.index("timestamp")
     col_pos = {col: header.index(col) for col in schema}
     f32_max = float(np.finfo(np.float32).max)

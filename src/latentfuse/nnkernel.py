@@ -28,7 +28,7 @@ Conventions, pinned for cross-run reproducibility:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -639,16 +639,3 @@ def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.
     probs = sigmoid_fn(z)
     grad = (probs - y) / z.size
     return float(loss.mean()), grad.astype(logits.dtype, copy=False)
-
-
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy for integer labels; returns (loss, dL/dlogits)."""
-    z = logits.astype(np.float64)
-    z = z - z.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    n = logits.shape[0]
-    loss = -log_probs[np.arange(n), labels].mean()
-    grad = np.exp(log_probs)
-    grad[np.arange(n), labels] -= 1.0
-    grad /= n
-    return float(loss), grad.astype(logits.dtype, copy=False)

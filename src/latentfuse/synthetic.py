@@ -63,37 +63,6 @@ def make_images(n: int, seed: int = 0) -> np.ndarray:
     return out
 
 
-def make_labeled_images(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Two visually distinct image classes for supervised pretraining.
-
-    Class 0 is smooth gradients/blobs, class 1 is high-frequency stripes;
-    labels are balanced and shuffled.
-    """
-    rng = np.random.default_rng(seed)
-    size = IMAGE_SIZE
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64) / (size - 1)
-    images = np.empty((n, 3, size, size), dtype=np.float32)
-    labels = np.arange(n) % 2
-    rng.shuffle(labels)
-    for i in range(n):
-        if labels[i] == 0:
-            theta = rng.uniform(0, np.pi)
-            base = xx * np.cos(theta) + yy * np.sin(theta)
-            cx, cy = rng.uniform(0.2, 0.8, 2)
-            base = base + 0.8 * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / 0.08)
-        else:
-            freq = rng.uniform(10, 20)
-            theta = rng.uniform(0, np.pi)
-            base = 0.5 + 0.5 * np.sin(2 * np.pi * freq *
-                                      (xx * np.cos(theta) + yy * np.sin(theta)))
-        base = base + rng.normal(0, 0.03, base.shape)
-        lo, hi = base.min(), base.max()
-        norm = (base - lo) / (hi - lo)
-        for c in range(3):
-            images[i, c] = norm
-    return images, labels.astype(np.int64)
-
-
 def make_stream(n_samples: int = 4096, rate_hz: float = 32.0, seed: int = 0,
                 segment_len: int = 512, include_noise: bool = False,
                 missing_frac: float = 0.0) -> MultimodalStream:

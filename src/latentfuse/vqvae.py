@@ -21,8 +21,7 @@ from __future__ import annotations
 import logging
 import math
 import struct
-from dataclasses import dataclass, field
-from typing import Collection
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -384,19 +383,15 @@ def save_model(model: VqVaeModel, path: str, include_decoder: bool = True) -> No
     write_tensors(path, tensors)
 
 
-def load_into(store: nn.ParamStore, tensors: dict[str, np.ndarray], path: str,
-              optional: Collection[str] = ()) -> None:
+def load_into(store: nn.ParamStore, tensors: dict[str, np.ndarray], path: str) -> None:
     """Copy a weight file's tensors into `store`, whose names and shapes rule.
 
     Every mismatch is a DataError naming `path`: a store tensor the file
-    lacks (unless listed in `optional`, which then keeps its current value),
-    a tensor whose shape differs from the store's, or a file tensor the
-    store has no place for.
+    lacks, a tensor whose shape differs from the store's, or a file tensor
+    the store has no place for.
     """
     for name, value in store.values.items():
         if name not in tensors:
-            if name in optional:
-                continue
             raise DataError(f"{path}: missing tensor {name!r}")
         if tensors[name].shape != value.shape:
             raise DataError(f"{path}: tensor {name!r} has shape "

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from latentfuse import cli, vqvae
+from latentfuse import vqvae
 from latentfuse.cli import (LatentEntry, RunConfig, main, read_dataset,
                             read_latents, sequences_from_latents,
                             write_dataset, write_latents)
@@ -670,16 +670,22 @@ def test_eval_rejects_missing_modality(workdir, capsys):
 # Benchmark command
 # ---------------------------------------------------------------------------
 
-def test_bench_synthetic_outputs(tmp_path, capsys):
+@pytest.mark.parametrize("skip_metrics", [True, False],
+                         ids=["skip-metrics", "with-metrics"])
+def test_bench_synthetic_outputs(tmp_path, capsys, skip_metrics):
     cfg = tmp_path / "bench.cfg"
-    cfg.write_text("energy_per_mac=1e-12\n")
+    # the training keys only size the fig-4 run; no MAC, parameter or energy
+    # column depends on them
+    cfg.write_text("energy_per_mac=1e-12\nsteps=5\nbatch=2\nepochs=2\nseq_len=2\n")
     out_dir = tmp_path / "bench"
-    code = main(["bench", "--skip-metrics", "--repeat", "2",
+    flags = ["--skip-metrics"] if skip_metrics else []
+    code = main(["bench", *flags, "--repeat", "2",
                  "--out-dir", str(out_dir), "--config", str(cfg)])
     assert code == 0
     present = sorted(os.listdir(out_dir))
-    assert present == ["fig3_runs.csv", "fig3_runtime.csv", "fig5_macs.csv",
-                       "scaling_table.csv"]
+    assert present == sorted(["fig3_runs.csv", "fig3_runtime.csv", "fig5_macs.csv",
+                              "scaling_table.csv"]
+                             + ([] if skip_metrics else ["fig4_metrics.csv"]))
 
     table = (out_dir / "scaling_table.csv").read_text().strip().splitlines()
     assert len(table) == 7
@@ -711,6 +717,17 @@ def test_bench_synthetic_outputs(tmp_path, capsys):
         # energy is priced once, from the config's energy_per_mac
         assert uni_j == f"{int(uni) * 1e-12:.6e}"
         assert base_j == f"{int(base) * 1e-12:.6e}"
+
+    if skip_metrics:
+        return
+    # fig 4 at a tiny config: its shape and ranges, not which M wins
+    metrics = (out_dir / "fig4_metrics.csv").read_text().strip().splitlines()
+    assert metrics[0] == "m,accuracy,f1,auc"
+    assert [int(row.split(",")[0]) for row in metrics[1:]] == [1, 2, 3, 4, 5, 6]
+    for row in metrics[1:]:
+        _, accuracy, f1, auc = row.split(",")
+        assert np.isfinite(float(accuracy)) and np.isfinite(float(f1))
+        assert auc == "" or 0.0 <= float(auc) <= 1.0
 
 
 def test_bench_refuses_zero_repeat(tmp_path, capsys):

@@ -24,7 +24,7 @@ def test_fuse_concatenates_in_order():
     lat = random_latents(["ECG", "EMG", "EDA"])
     fused = fusion.fuse(lat, ["ECG", "EMG", "EDA"])
     assert fused.tensor.shape == (12, 8, 8)
-    assert fused.m == 3 and fused.d == 4
+    assert fused.modality_order == ("ECG", "EMG", "EDA")
     assert np.array_equal(fused.tensor[0:4], lat["ECG"])
     assert np.array_equal(fused.tensor[4:8], lat["EMG"])
     assert np.array_equal(fused.tensor[8:12], lat["EDA"])

@@ -53,7 +53,7 @@ def test_load_stream_bad_value_reports_line_and_column(tmp_path):
 
 def test_load_stream_schema_column_missing(tmp_path):
     p = write(tmp_path / "s.csv", "timestamp,v\n0,1\n")
-    with pytest.raises(UsageError, match="nope"):
+    with pytest.raises(DataError, match="s.csv: header has no schema column 'nope'"):
         ingest.load_stream(p, {"nope": "ECG"})
 
 
@@ -97,10 +97,8 @@ def test_flipped_csv_loads_or_is_data_error(tmp_path, kind):
     load(write(tmp_path / "valid.csv", data.decode()))
     cases = [(pos, mask) for pos in range(len(data)) for mask in (0xFF, 0x80)]
     # 0xff and 0x80 turn an ASCII byte into a non-UTF-8 one; 0x01 keeps it
-    # ASCII and so reaches the parser. A stream header with a schema column
-    # renamed is a UsageError by contract, so the stream's header is skipped.
-    first_row = data.index(b"\n") + 1 if kind == "stream" else 0
-    cases += [(pos, 0x01) for pos in range(first_row, len(data))]
+    # ASCII and so reaches the parser, header included
+    cases += [(pos, 0x01) for pos in range(len(data))]
     path = tmp_path / "flipped.csv"
     for pos, mask in cases:
         flipped = bytearray(data)

@@ -452,20 +452,6 @@ def test_bce_with_logits_stable_at_extreme_logits():
     assert np.all(np.isfinite(grad))
 
 
-def test_softmax_cross_entropy_matches_direct_formula():
-    rs = np.random.default_rng(7)
-    z = rs.standard_normal((9, 4))
-    labels = rs.integers(0, 4, size=9)
-    loss, grad = nn.softmax_cross_entropy(z, labels)
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    probs = e / e.sum(axis=1, keepdims=True)
-    ref = -np.log(probs[np.arange(9), labels]).mean()
-    assert abs(loss - ref) < 1e-12
-    ref_grad = probs.copy()
-    ref_grad[np.arange(9), labels] -= 1
-    assert np.allclose(grad, ref_grad / 9, atol=1e-12)
-
-
 # (kernel, stride, padding) of every conv the encoder, the decoder backward,
 # the baseline extractors and the head run through _im2col
 @pytest.mark.parametrize("k,s,p", [(4, 2, 1), (3, 1, 1), (3, 2, 1)])
