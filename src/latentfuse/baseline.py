@@ -84,8 +84,8 @@ def build_encoder(modality: str, embed_dim: int = 16, seed: int = 0) -> Modality
 
 def extract(encoder: ModalityEncoder, image: SpectralImage) -> np.ndarray:
     """Feature map (D, 16, 16) for one image; matches the unified latent shape."""
-    feats, _ = nn.stack_forward(encoder.features, encoder.store,
-                                image.pixels[None].astype(np.float32))
+    feats = nn.stack_infer(encoder.features, encoder.store,
+                           np.asarray(image.pixels[None], dtype=np.float32))
     return feats[0]
 
 

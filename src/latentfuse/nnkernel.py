@@ -24,10 +24,16 @@ Conventions, pinned for cross-run reproducibility:
   reductions accumulate in float64.
 - All randomness flows through Rng (SplitMix64). Draw order is the
   parameter registration order, so identical seeds give identical models.
+- stack_forward keeps every layer's cache for stack_backward. stack_infer is
+  the cache-free inference pass: its scratch and activations live in the
+  calling thread's Arena, reused from call to call, and its result is
+  bitwise stack_forward's.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
@@ -311,6 +317,88 @@ def init_params(descs: Iterable[LayerDescriptor], store: ParamStore, rng: Rng,
 
 
 # ---------------------------------------------------------------------------
+# Inference scratch
+# ---------------------------------------------------------------------------
+
+ARENA_LIMIT = 64 << 20  # bytes one thread's arena may keep between calls
+_ALIGN = 64
+
+
+def _aligned_bytes(size: int) -> np.ndarray:
+    raw = np.empty(size + _ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % _ALIGN
+    return raw[start:start + size]
+
+
+class Arena:
+    """Scratch memory of the inference pass, reused from call to call.
+
+    One byte buffer handed out as a stack: `take` carves the next 64-byte
+    aligned block and `release(mark)` gives back every block taken since
+    `mark()`. A block past the buffer's end is a fresh array instead. When a
+    release empties the stack, the buffer grows to the deepest stack seen
+    so far, up to ARENA_LIMIT bytes. So once a stack has run, repeat runs of
+    it take every block from the buffer and allocate nothing.
+    """
+
+    def __init__(self) -> None:
+        self._buf = _aligned_bytes(0)
+        self._top = 0
+        self._deepest = 0
+        self._spilled: list[tuple[int, np.ndarray]] = []  # (offset, fresh block)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held between calls."""
+        return self._buf.size
+
+    def take(self, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
+        """An uninitialized block, valid until the release of an earlier mark."""
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        start = self._top
+        self._top = start + -(-size // _ALIGN) * _ALIGN
+        self._deepest = max(self._deepest, self._top)
+        if self._top <= self._buf.size:
+            return self._buf[start:start + size].view(dtype).reshape(shape)
+        block = np.empty(shape, dtype)
+        self._spilled.append((start, block))
+        return block
+
+    def zeros(self, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
+        block = self.take(shape, dtype)
+        block.fill(0)
+        return block
+
+    def owns(self, x: np.ndarray) -> bool:
+        """Whether x lies in a block taken and not yet released."""
+        return (np.may_share_memory(x, self._buf)
+                or any(np.may_share_memory(x, b) for _, b in self._spilled))
+
+    def mark(self) -> int:
+        return self._top
+
+    def release(self, mark: int) -> None:
+        self._top = mark
+        while self._spilled and self._spilled[-1][0] >= mark:
+            self._spilled.pop()
+        size = min(self._deepest, ARENA_LIMIT)
+        if mark == 0 and self._buf.size < size:
+            self._buf = _aligned_bytes(size)
+
+
+_thread = threading.local()
+
+
+def thread_arena() -> Arena:
+    """The calling thread's inference arena, made on first use."""
+    arena = getattr(_thread, "arena", None)
+    if arena is None:
+        arena = _thread.arena = Arena()
+    return arena
+
+
+# ---------------------------------------------------------------------------
 # Elementwise helpers
 # ---------------------------------------------------------------------------
 
@@ -324,21 +412,28 @@ def sigmoid_fn(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _im2col(x: np.ndarray, k: int, s: int, p: int) -> tuple[np.ndarray, int, int]:
+def _im2col(x: np.ndarray, k: int, s: int, p: int, arena: Arena | None = None
+            ) -> tuple[np.ndarray, int, int]:
     """Patch columns of shape (n, c*k*k, ho*wo), stored image-interleaved.
 
     The memory order is (c*k*k, n, ho*wo): each image's (c*k*k, ho*wo) matrix
     is a strided view that BLAS takes as is, and all images' columns side by
     side are a (c*k*k, n*ho*wo) view, which `_weight_grad` hands to one GEMM.
+    With an arena, the padded input and the columns are arena blocks.
     """
     n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    padded = (n, c, h + 2 * p, w + 2 * p)
+    xp = np.zeros(padded, dtype=x.dtype) if arena is None else arena.zeros(padded, x.dtype)
     xp[:, :, p:p + h, p:p + w] = x
     ho = (h + 2 * p - k) // s + 1
     wo = (w + 2 * p - k) // s + 1
     sn, sc, sh, sw = xp.strides
     windows = as_strided(xp, (c, k, k, n, ho, wo), (sc, sh, sw, sn, sh * s, sw * s))
-    cols = windows.reshape(c * k * k, n, ho * wo)
+    if arena is None:
+        cols = windows.reshape(c * k * k, n, ho * wo)
+    else:
+        cols = arena.take((c * k * k, n, ho * wo), x.dtype)
+        cols.reshape(windows.shape)[...] = windows
     return cols.transpose(1, 0, 2), ho, wo
 
 
@@ -355,7 +450,8 @@ def _weight_grad(grad_rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def _col2im(cols: np.ndarray, x_shape: tuple[int, ...], k: int, s: int, p: int,
-            ho: int, wo: int) -> np.ndarray:
+            ho: int, wo: int, out: np.ndarray | None = None,
+            arena: Arena | None = None) -> np.ndarray:
     """Adjoint of `_im2col`: add every column entry back onto its pixel.
 
     Each pixel sums its taps onto +0.0 in (i, j) order, so the result is
@@ -365,7 +461,8 @@ def _col2im(cols: np.ndarray, x_shape: tuple[int, ...], k: int, s: int, p: int,
     plane shifted by (i // s, j // s). Grid rows are stored wo wide, so a
     tap is one long add per plane; the entries that pass column wo wrap into
     the first q - 1 columns of the next row, and those columns, with the
-    ones from wo on, are summed apart column by column.
+    ones from wo on, are summed apart column by column. With an arena, the
+    grids are arena blocks, and `out` receives the result.
     """
     n, c, h, w = x_shape
     dtype = cols.dtype
@@ -374,8 +471,9 @@ def _col2im(cols: np.ndarray, x_shape: tuple[int, ...], k: int, s: int, p: int,
     wq = max(wo + q - 1, (w + p - 1) // s + 1)
     edge_x = [x for x in range(wq) if x < q - 1 or x >= wo]
     taps = cols.reshape(n * c, k, k, ho, wo)
-    grid = np.zeros((s, s, n * c, hq * wo), dtype=dtype)
-    edge = np.zeros((s, s, n * c, hq, len(edge_x)), dtype=dtype)
+    zeros = np.zeros if arena is None else arena.zeros
+    grid = zeros((s, s, n * c, hq * wo), dtype)
+    edge = zeros((s, s, n * c, hq, len(edge_x)), dtype)
     # phase by phase, so one phase grid stays in cache across its taps
     for py, px in product(range(s), repeat=2):
         for i in range(py, k, s):
@@ -393,7 +491,8 @@ def _col2im(cols: np.ndarray, x_shape: tuple[int, ...], k: int, s: int, p: int,
     for e, x in enumerate(edge_x):
         if x < wo:
             grid[..., x] = edge[..., e]
-    out = np.empty(x_shape, dtype=dtype)
+    if out is None:
+        out = np.empty(x_shape, dtype=dtype)
     for py in range(s):
         y0 = (py - p) % s
         gy = (y0 + p) // s
@@ -421,22 +520,39 @@ def _check_image_input(desc: LayerDescriptor, x: np.ndarray) -> None:
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-def forward(desc: LayerDescriptor, store: ParamStore, x):
+def forward(desc: LayerDescriptor, store: ParamStore, x, arena: Arena | None = None):
     """Run one layer forward. Returns (output, cache) for the matching backward.
 
     Feed-forward kinds take a batched array. recurrent_cell takes a tuple
     (x, h) of (N, x_dim) and (N, hidden) and returns the next hidden state.
+
+    With an arena the call is an inference step, bitwise the plain one:
+    conv2d, conv_transpose2d, relu and residual_block take their scratch and
+    output from the arena and return no cache (None), and relu overwrites an
+    input that the arena owns. A residual block's inner stack starts with a
+    conv, which never writes its input, so the block's input survives for
+    the skip add. The other kinds run as without an arena.
     """
     if desc.kind == "conv2d":
         _check_image_input(desc, x)
         w = store.values[f"{desc.name}.w"]
         b = store.values[f"{desc.name}.b"]
-        cols, ho, wo = _im2col(x, desc.kernel, desc.stride, desc.padding)
+        k, s, p = desc.kernel, desc.stride, desc.padding
         wm = w.reshape(desc.out_channels, -1)
-        out = np.matmul(wm, cols)
+        if arena is None:
+            cols, ho, wo = _im2col(x, k, s, p)
+            out = np.matmul(wm, cols)
+            cache = (x.shape, cols, ho, wo)
+        else:
+            _, ho, wo = out_shape(desc, x.shape[1:])
+            out = arena.take((x.shape[0], desc.out_channels, ho * wo), np.result_type(w, x))
+            mark = arena.mark()
+            np.matmul(wm, _im2col(x, k, s, p, arena)[0], out=out)
+            arena.release(mark)
+            cache = None
         out += b[:, None]
         out = out.reshape(x.shape[0], desc.out_channels, ho, wo)
-        return out, (x.shape, cols, ho, wo)
+        return out, cache
 
     if desc.kind == "conv_transpose2d":
         _check_image_input(desc, x)
@@ -446,12 +562,22 @@ def forward(desc: LayerDescriptor, store: ParamStore, x):
         k, s, p = desc.kernel, desc.stride, desc.padding
         xf = x.reshape(n, desc.in_channels, h * wdt)
         wm = w.reshape(desc.in_channels, -1)
-        cols = np.matmul(wm.T, xf)
         ho = (h - 1) * s - 2 * p + k
         wo = (wdt - 1) * s - 2 * p + k
-        out = _col2im(cols, (n, desc.out_channels, ho, wo), k, s, p, h, wdt)
+        shape = (n, desc.out_channels, ho, wo)
+        if arena is None:
+            out = _col2im(np.matmul(wm.T, xf), shape, k, s, p, h, wdt)
+            cache = (xf, (h, wdt))
+        else:
+            dtype = np.result_type(w, x)
+            out = arena.take(shape, dtype)
+            mark = arena.mark()
+            cols = np.matmul(wm.T, xf, out=arena.take((n, wm.shape[1], h * wdt), dtype))
+            _col2im(cols, shape, k, s, p, h, wdt, out, arena)
+            arena.release(mark)
+            cache = None
         out += b[None, :, None, None]
-        return out, (xf, (h, wdt))
+        return out, cache
 
     if desc.kind == "dense":
         if x.ndim != 2 or x.shape[1] != desc.in_features:
@@ -462,7 +588,9 @@ def forward(desc: LayerDescriptor, store: ParamStore, x):
         return x @ w.T + b, (x,)
 
     if desc.kind == "relu":
-        return np.maximum(x, 0), (x > 0,)
+        if arena is None:
+            return np.maximum(x, 0), (x > 0,)
+        return np.maximum(x, 0, out=x if arena.owns(x) else arena.take(x.shape, x.dtype)), None
 
     if desc.kind == "sigmoid":
         y = sigmoid_fn(x)
@@ -472,12 +600,15 @@ def forward(desc: LayerDescriptor, store: ParamStore, x):
         h = x
         caches = []
         for d in desc.inner:
-            h, cache = forward(d, store, h)
+            h, cache = forward(d, store, h, arena=arena)
             caches.append(cache)
         if h.shape != x.shape:
             raise UsageError(f"residual_block {desc.name}: inner shape {h.shape} "
                              f"does not match input {x.shape}")
-        return x + h, tuple(caches)
+        if arena is None:
+            return x + h, tuple(caches)
+        out = h if h is not x and arena.owns(h) else arena.take(h.shape, np.result_type(x, h))
+        return np.add(x, h, out=out), None
 
     if desc.kind == "recurrent_cell":
         xin, h = x
@@ -590,6 +721,25 @@ def stack_forward(descs: Sequence[LayerDescriptor], store: ParamStore, x: np.nda
         x, cache = forward(d, store, x)
         caches.append(cache)
     return x, caches
+
+
+def stack_infer(descs: Sequence[LayerDescriptor], store: ParamStore, x: np.ndarray
+                ) -> np.ndarray:
+    """stack_forward's output, bitwise, without its caches.
+
+    Every layer runs through `forward` with the calling thread's arena, so
+    on a repeat call the conv, relu and residual layers allocate nothing.
+    The result is a copy when the arena holds it, so no caller keeps arena
+    memory; x is never written.
+    """
+    arena = thread_arena()
+    mark = arena.mark()
+    try:
+        for d in descs:
+            x, _ = forward(d, store, x, arena=arena)
+        return x.copy() if arena.owns(x) else x
+    finally:
+        arena.release(mark)
 
 
 def stack_backward(descs: Sequence[LayerDescriptor], store: ParamStore, caches,

@@ -139,8 +139,8 @@ def build_model(codebook_size: int = 128, embed_dim: int = 16, seed: int = 0,
 
 def encode(model: VqVaeModel, image: SpectralImage) -> np.ndarray:
     """Pre-quantization latent z_e for one image, shape (D, 16, 16)."""
-    z, _ = nn.stack_forward(model.encoder, model.store,
-                            image.pixels[None].astype(np.float32))
+    z = nn.stack_infer(model.encoder, model.store,
+                       np.asarray(image.pixels[None], dtype=np.float32))
     if z.shape != (1, model.embed_dim, GRID, GRID):
         raise UsageError(f"encoder produced {z.shape[1:]}, expected "
                          f"({model.embed_dim}, {GRID}, {GRID})")
@@ -221,8 +221,8 @@ def decode(model: VqVaeModel, quantized: np.ndarray) -> np.ndarray:
     """Reconstruction in (0,1) of shape (3, 128, 128) from a quantized latent."""
     if not model.decoder:
         raise UsageError("model has no decoder weights (inference-only file)")
-    x, _ = nn.stack_forward(model.decoder, model.store,
-                            quantized[None].astype(np.float32))
+    x = nn.stack_infer(model.decoder, model.store,
+                       np.asarray(quantized[None], dtype=np.float32))
     return x[0]
 
 
