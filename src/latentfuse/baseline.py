@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nnkernel as nn
-from .errors import UsageError
+from .errors import DataError, UsageError
 from .fusion import ClassifierHead
 from .spectral import IMAGE_SIZE, SpectralImage
 from .vqvae import GRID, load_into, read_tensors, write_tensors
@@ -94,8 +94,26 @@ def save_encoder(encoder: ModalityEncoder, path: str) -> None:
     write_tensors(path, dict(encoder.store.values))
 
 
-def load_extractor(path: str, modality: str, embed_dim: int = 16) -> ModalityEncoder:
-    """Load a modality encoder for feature extraction; every tensor is required."""
-    encoder = build_encoder(modality, embed_dim, seed=0)
-    load_into(encoder.store, read_tensors(path), path)
+def load_extractor(path: str, modality: str | None = None,
+                   embed_dim: int | None = None) -> ModalityEncoder:
+    """Load a modality encoder for feature extraction; every tensor is required.
+
+    The file names the modality (its `<modality>.c3.w` tensor) and embed_dim
+    (that tensor's output channels). A modality or embed_dim given by the
+    caller must agree with the file.
+    """
+    tensors = read_tensors(path)
+    last = [name for name in tensors if name.endswith(".c3.w")]
+    if len(last) != 1:
+        raise DataError(f"{path}: expected one '<modality>.c3.w' tensor, found {last}")
+    found, shape = last[0].removesuffix(".c3.w"), tensors[last[0]].shape
+    if len(shape) != 4 or shape[0] < 1:
+        raise DataError(f"{path}: tensor {last[0]!r} has shape {shape}, expected "
+                        f"(embed_dim, {2 * BASE_WIDTH}, 3, 3) with embed_dim >= 1")
+    if modality is not None and modality != found:
+        raise DataError(f"{path}: holds the {found!r} extractor, not {modality!r}")
+    if embed_dim is not None and embed_dim != shape[0]:
+        raise DataError(f"{path}: extractor has embed_dim {shape[0]}, not {embed_dim}")
+    encoder = build_encoder(found, shape[0], seed=0)
+    load_into(encoder.store, tensors, path)
     return encoder

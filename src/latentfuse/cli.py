@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from . import baseline as baseline_mod
-from . import binio, costmodel, pipeline
+from . import binio, costmodel, hostinfo, pipeline
 from .errors import DataError, NumericError, TruncatedPayloadError, UsageError
 from .fusion import (ClassifierConfig, SequenceSample, evaluate, load_head,
                      save_head, train_classifier, write_training_curve)
@@ -376,13 +376,13 @@ def cmd_encode(args: argparse.Namespace) -> int:
     _log_config(cfg, "encode")
     model = load_model(args.model)
     windows, window_len = read_dataset(args.data)
-    entries = []
-    for name in sorted(windows):
-        for w in windows[name]:
-            image = spectral_image(w, cfg.spectral())
-            code = encode_image(model, image)
-            entries.append(LatentEntry(name, w.start_index, w.label,
-                                       code.indices))
+    spectral_cfg = cfg.spectral()
+    items = [(name, w) for name in sorted(windows) for w in windows[name]]
+    codes = pipeline.map_windows(
+        lambda item: encode_image(model, spectral_image(item[1], spectral_cfg)).indices,
+        items)
+    entries = [LatentEntry(name, w.start_index, w.label, indices)
+               for (name, w), indices in zip(items, codes)]
     write_latents(args.out, entries, model.codebook, GRID)
     log.info("encoded %d windows -> %s", len(entries), args.out)
     return 0
@@ -474,6 +474,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                                    cfg.codebook_size, 1, cfg.window_len,
                                    cfg.spectral())
     runs = []
+    blas_threads = hostinfo.blas_threads()  # GEMM threads behind every timing
     for row in rows:
         for name, system in (("unified", unified), ("baseline", base)):
             seconds = pipeline.encoding_runs(system, row["m"], args.repeat, pcfg)
@@ -481,6 +482,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
             row[f"{name}_energy_j"] = f"{row[f'{name}_macs'] * cfg.energy_per_mac:.6e}"
             runs += [{"m": row["m"], "system": name, "run": i, "seconds": f"{t:.9f}"}
                      for i, t in enumerate(seconds)]
+        log.info("fig3 m=%d: %.2f ms unified, %.2f ms baseline per pass "
+                 "(one runner, %s BLAS threads)", row["m"],
+                 1e3 * row["runtime_s_unified"], 1e3 * row["runtime_s_baseline"],
+                 blas_threads)
 
     def write(filename: str, cols: list[str], table: list[dict]) -> None:
         with open(os.path.join(args.out_dir, filename), "w") as fh:

@@ -15,16 +15,25 @@ trusting a label).
 
 aligned_sequences is the one start-keyed aligner, behind both
 stream_to_sequences and the CLI's .lsfl reader.
+
+map_windows encodes independent windows on every idle CPU: the calling
+thread and the workers of one persistent pool each take items until none
+are left (docs/design.md, "Window parallelism").
 """
 
 from __future__ import annotations
 
+import logging
+import os
+import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
+from . import hostinfo
 from . import nnkernel as nn
 from .errors import DataError, UsageError
 from .fusion import ClassifierHead, SequenceSample, fuse, group_sequences
@@ -44,6 +53,8 @@ PERMUTATIONS: dict[int, tuple[str, ...]] = {
 }
 
 ACC_AXES = ("AccX", "AccY", "AccZ")
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -128,6 +139,105 @@ def aligned_sequences(coded: Mapping[str, Mapping[int, tuple[np.ndarray, int]]],
     return group_sequences(steps, labels, seq_len)
 
 
+def window_runners() -> int:
+    """Threads that may encode windows at once: max(1, CPUs // BLAS threads).
+
+    Each runner's GEMMs run on the BLAS's own threads, so more runners than
+    CPUs / BLAS threads would only oversubscribe the CPUs. An unknown BLAS
+    gives 1, and so does OpenBLAS at its default of one thread per CPU.
+    """
+    blas = hostinfo.blas_threads()
+    if blas is None or blas < 1:
+        return 1
+    return max(1, hostinfo.cpu_count() // blas)
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_workers = 0
+_pool_lock = threading.Lock()
+_mapping = threading.local()  # .active while this thread runs a map's items
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's pool threads, so it makes its own."""
+    global _pool, _pool_workers, _pool_lock
+    _pool, _pool_workers, _pool_lock = None, 0, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _submit(workers: int, task: Callable[[], None]) -> list[Future]:
+    """Run task once on each of `workers` threads of the module's pool.
+
+    The pool is made on first need and reused, so each worker keeps its
+    inference arena from call to call. A call that needs more workers
+    replaces it; tasks already given to the old pool still run.
+    """
+    global _pool, _pool_workers
+    with _pool_lock:
+        if _pool_workers < workers:
+            if _pool is not None:
+                _pool.shutdown(wait=False)
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="latentfuse-window")
+            # each task waits for all the others, so each gets its own thread
+            start = threading.Barrier(workers + 1)
+            for _ in range(workers):
+                _pool.submit(start.wait)
+            start.wait()
+            _pool_workers = workers
+            log.info("window map: %d runners (%d CPUs, %d BLAS threads)",
+                     workers + 1, hostinfo.cpu_count(), hostinfo.blas_threads())
+        return [_pool.submit(task) for _ in range(workers)]
+
+
+def map_windows(fn: Callable, items: Iterable) -> list:
+    """[fn(x) for x in items], with the items spread over window_runners() threads.
+
+    The calling thread and n - 1 pool workers take the next unclaimed item
+    until none is left, and each result lands at its item's index. fn must
+    be safe to run on several threads at once; each thread runs the
+    inference forward on its own arena, so the results are bitwise the
+    serial ones. When items fail, the exception of the lowest failing index
+    is raised, as the serial loop would raise it. With one runner, or inside
+    another map, this is the plain loop.
+    """
+    items = list(items)
+    n = min(len(items), window_runners())
+    if n <= 1 or getattr(_mapping, "active", False):
+        return [fn(x) for x in items]
+    results: list = [None] * len(items)
+    failures: list[tuple[int, Exception]] = []
+    order = iter(range(len(items)))
+    claim_lock = threading.Lock()
+
+    def drain() -> None:
+        _mapping.active = True
+        try:
+            # an index is claimed only after every lower one, so once all
+            # runners stop, the lowest failure is the one the loop would raise
+            while not failures:
+                with claim_lock:
+                    i = next(order, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = fn(items[i])
+                except Exception as exc:
+                    failures.append((i, exc))
+        finally:
+            _mapping.active = False
+
+    workers = _submit(n - 1, drain)
+    drain()
+    for w in workers:
+        w.result()
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return results
+
+
 def stream_to_sequences(system, stream: MultimodalStream,
                         permutation: int | list[str],
                         cfg: PipelineConfig = PipelineConfig()
@@ -141,10 +251,12 @@ def stream_to_sequences(system, stream: MultimodalStream,
             raise DataError(f"stream has no channel {m!r}")
     sub = MultimodalStream({m: stream.channels[m] for m in modalities},
                            labels=stream.labels)
-    coded = {m: {w.start_index: (system.encode(m, spectral_image(w, cfg.spectral)),
-                                 w.label)
-                 for w in windows}
-             for m, windows in window_stream(sub, cfg.window_len, cfg.stride).items()}
+    windows = window_stream(sub, cfg.window_len, cfg.stride)
+    latents = iter(map_windows(
+        lambda mw: system.encode(mw[0], spectral_image(mw[1], cfg.spectral)),
+        [(m, w) for m, ws in windows.items() for w in ws]))
+    coded = {m: {w.start_index: (next(latents), w.label) for w in ws}
+             for m, ws in windows.items()}
     return aligned_sequences(coded, modalities, cfg.seq_len)
 
 

@@ -63,3 +63,41 @@ def test_load_extractor_rejects_missing_feature_tensor(tmp_path):
     write_tensors(path, tensors)
     with pytest.raises(DataError, match="c3.w"):
         baseline.load_extractor(path, "ECG")
+
+
+def test_load_extractor_reads_modality_and_embed_dim_from_the_file(tmp_path):
+    encoder = baseline.build_encoder("Resp", 8, seed=2)
+    path = str(tmp_path / "resp.lsfw")
+    baseline.save_encoder(encoder, path)
+    loaded = baseline.load_extractor(path)
+    assert loaded.store.names() == encoder.store.names()
+    for name in encoder.store.names():
+        assert np.array_equal(loaded.store.values[name], encoder.store.values[name])
+    img = SpectralImage(synthetic.make_images(1, seed=5)[0])
+    assert baseline.extract(loaded, img).shape == (8, 16, 16)
+    # restating either fact, in its position, still loads
+    assert baseline.load_extractor(path, "Resp", 8).store.names() == encoder.store.names()
+
+
+@pytest.mark.parametrize("modality,embed_dim,match", [
+    ("ECG", None, "'Resp' extractor, not 'ECG'"),
+    (None, 16, "embed_dim 8, not 16"),
+])
+def test_load_extractor_refuses_a_fact_the_file_contradicts(tmp_path, modality,
+                                                            embed_dim, match):
+    path = str(tmp_path / "resp.lsfw")
+    baseline.save_encoder(baseline.build_encoder("Resp", 8, seed=2), path)
+    with pytest.raises(DataError, match=match) as err:
+        baseline.load_extractor(path, modality, embed_dim)
+    assert path in str(err.value)
+
+
+@pytest.mark.parametrize("shape", [(0, 48, 3, 3), (8,)])
+def test_load_extractor_refuses_a_degenerate_last_conv(tmp_path, shape):
+    from latentfuse.vqvae import write_tensors
+    tensors = dict(baseline.build_encoder("ECG", 8, seed=0).store.values)
+    tensors["ECG.c3.w"] = np.zeros(shape, dtype=np.float32)
+    path = str(tmp_path / "ecg.lsfw")
+    write_tensors(path, tensors)
+    with pytest.raises(DataError, match="ECG.c3.w"):
+        baseline.load_extractor(path)

@@ -1,6 +1,7 @@
 """Tests for the command-line surface, the container formats, and exit codes."""
 
 import json
+import logging
 import os
 import re
 import struct
@@ -8,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from latentfuse import vqvae
+from latentfuse import hostinfo, vqvae
 from latentfuse.cli import (LatentEntry, RunConfig, main, read_dataset,
                             read_latents, sequences_from_latents,
                             write_dataset, write_latents)
@@ -672,7 +673,8 @@ def test_eval_rejects_missing_modality(workdir, capsys):
 
 @pytest.mark.parametrize("skip_metrics", [True, False],
                          ids=["skip-metrics", "with-metrics"])
-def test_bench_synthetic_outputs(tmp_path, capsys, skip_metrics):
+def test_bench_synthetic_outputs(tmp_path, capsys, caplog, skip_metrics):
+    caplog.set_level(logging.INFO, logger="latentfuse.cli")
     cfg = tmp_path / "bench.cfg"
     # the training keys only size the fig-4 run; no MAC, parameter or energy
     # column depends on them
@@ -703,6 +705,11 @@ def test_bench_synthetic_outputs(tmp_path, capsys, skip_metrics):
 
     runs = (out_dir / "fig3_runs.csv").read_text().strip().splitlines()
     assert len(runs) == 1 + 6 * 2 * 2  # header + m-values x systems x repeat
+    # each point's log line names the BLAS thread count behind its timing
+    fig3 = [r.getMessage() for r in caplog.records if r.getMessage().startswith("fig3 m=")]
+    assert len(fig3) == 6
+    assert all(line.endswith(f"(one runner, {hostinfo.blas_threads()} BLAS threads)")
+               for line in fig3)
 
     macs = (out_dir / "fig5_macs.csv").read_text().strip().splitlines()
     assert macs[0] == "m,unified_macs,baseline_macs,unified_energy_j,baseline_energy_j"
