@@ -32,6 +32,7 @@ import numpy as np
 
 from . import baseline as baseline_mod
 from . import binio, costmodel, hostinfo, pipeline
+from . import nnkernel as nn
 from .errors import DataError, NumericError, TruncatedPayloadError, UsageError
 from .fusion import (ClassifierConfig, SequenceSample, evaluate, load_head,
                      save_head, train_classifier, write_training_curve)
@@ -378,7 +379,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
     windows, window_len = read_dataset(args.data)
     spectral_cfg = cfg.spectral()
     items = [(name, w) for name in sorted(windows) for w in windows[name]]
-    codes = pipeline.map_windows(
+    codes = nn.map_windows(
         lambda item: encode_image(model, spectral_image(item[1], spectral_cfg)).indices,
         items)
     entries = [LatentEntry(name, w.start_index, w.label, indices)

@@ -144,39 +144,75 @@ def build_head(in_channels: int, grid: int = GRID, hidden: int = HEAD_HIDDEN,
 
 
 def _sequence_batch(samples: Sequence[SequenceSample]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack samples into (B, L, C, g, g) float32 plus float64 labels."""
+    """Write samples once into a (B, L, C, g, g) float32 array; float64 labels."""
     seq_len = len(samples[0].steps)
-    for s in samples:
+    if seq_len < 1:
+        raise UsageError("a sequence sample needs at least one step")
+    shape = samples[0].steps[0].tensor.shape
+    x = np.empty((len(samples), seq_len) + shape, dtype=np.float32)
+    for i, s in enumerate(samples):
         if len(s.steps) != seq_len:
             raise UsageError("all sequence samples must share the same length")
-    x = np.stack([np.stack([fl.tensor for fl in s.steps]) for s in samples])
+        for t, fl in enumerate(s.steps):
+            if fl.tensor.shape != shape:
+                raise UsageError(f"fused latent shape {fl.tensor.shape} differs from "
+                                 f"the batch's {shape}")
+            x[i, t] = fl.tensor
     y = np.array([s.label for s in samples], dtype=np.float64)
-    return x.astype(np.float32), y
+    return x, y
+
+
+def _recur(head: ClassifierHead, feats: Sequence[np.ndarray]):
+    """The cell over per-step conv features in step order, then the output
+    layer: (logits, cell caches, output cache)."""
+    b = feats[0].shape[0]
+    h = np.zeros((b, head.cell.hidden), dtype=np.float32)
+    cell_caches = []
+    for f in feats:
+        h, cache = nn.forward(head.cell, head.store, (f.reshape(b, -1), h))
+        cell_caches.append(cache)
+    logits, out_cache = nn.forward(head.out, head.store, h)
+    return logits[:, 0], cell_caches, out_cache
 
 
 def forward_logits(head: ClassifierHead, x: np.ndarray):
-    """Logits for a (B, L, C, g, g) batch; also returns caches for backward."""
-    b, seq_len = x.shape[0], x.shape[1]
-    h = np.zeros((b, head.cell.hidden), dtype=np.float32)
-    step_caches = []
-    for t in range(seq_len):
-        feats, conv_cache = nn.stack_forward(head.conv, head.store, x[:, t])
-        flat = feats.reshape(b, -1)
-        h, cell_cache = nn.forward(head.cell, head.store, (flat, h))
-        step_caches.append((conv_cache, cell_cache, feats.shape))
-    logits, out_cache = nn.forward(head.out, head.store, h)
-    return logits[:, 0], (step_caches, out_cache)
+    """Logits for a (B, L, C, g, g) batch; also returns caches for backward.
+
+    The conv stack does not read the recurrent state, so the L steps' convs
+    run through the window map, each on the whole batch; the cell then runs
+    over the steps in order.
+    """
+    convs = nn.map_windows(lambda xt: nn.stack_forward(head.conv, head.store, xt),
+                           [x[:, t] for t in range(x.shape[1])])
+    logits, cell_caches, out_cache = _recur(head, [f for f, _ in convs])
+    return logits, (convs, cell_caches, out_cache)
 
 
 def backward_logits(head: ClassifierHead, caches, grad_logits: np.ndarray) -> None:
-    """Backpropagate through time; accumulates grads into the head's store."""
-    step_caches, out_cache = caches
+    """Backpropagate through time; accumulates grads into the head's store.
+
+    BPTT through the output layer and the cell comes first, serially. Each
+    step's conv-stack backward then runs through the window map on a tape
+    of its own, and the tapes are added into the store from the last step
+    to the first: the order of the step-by-step loop, so the sums are
+    bitwise the same.
+    """
+    convs, cell_caches, out_cache = caches
     gh = nn.backward(head.out, head.store, out_cache,
                      grad_logits[:, None].astype(np.float32))
-    for conv_cache, cell_cache, feat_shape in reversed(step_caches):
+    steps = []
+    for (feats, conv_cache), cell_cache in zip(reversed(convs), reversed(cell_caches)):
         gx, gh = nn.backward(head.cell, head.store, cell_cache, gh)
-        nn.stack_backward(head.conv, head.store, conv_cache, gx.reshape(feat_shape),
-                          need_grad_in=False)
+        steps.append((conv_cache, gx.reshape(feats.shape)))
+
+    def conv_grads(step) -> list[tuple[str, np.ndarray]]:
+        tape = nn.GradTape(head.store)
+        nn.stack_backward(head.conv, tape, *step, need_grad_in=False)
+        return tape.grads
+
+    for grads in nn.map_windows(conv_grads, steps):
+        for name, g in grads:
+            head.store.accumulate(name, g)
 
 
 def classify(head: ClassifierHead, sample: SequenceSample) -> float:
@@ -186,10 +222,22 @@ def classify(head: ClassifierHead, sample: SequenceSample) -> float:
 
 def predict_scores(head: ClassifierHead, dataset: Sequence[SequenceSample],
                    batch: int = 32) -> np.ndarray:
+    """Positive-class probabilities, `batch` sequences at a time.
+
+    The conv stack runs as the cache-free inference pass (nn.stack_infer),
+    one step per map item on that runner's arena; its features are bitwise
+    those of forward_logits.
+    """
+    if batch < 1:
+        raise UsageError(f"batch must be >= 1, got {batch}")
+    if not dataset:
+        raise UsageError("cannot score an empty dataset")
     scores = []
     for lo in range(0, len(dataset), batch):
         x, _ = _sequence_batch(dataset[lo:lo + batch])
-        logits, _ = forward_logits(head, x)
+        feats = nn.map_windows(lambda xt: nn.stack_infer(head.conv, head.store, xt),
+                               [x[:, t] for t in range(x.shape[1])])
+        logits, _, _ = _recur(head, feats)
         scores.append(nn.sigmoid_fn(logits.astype(np.float64)))
     return np.concatenate(scores)
 
@@ -219,6 +267,8 @@ def train_classifier(dataset: Sequence[SequenceSample],
     """
     if not dataset:
         raise UsageError("empty training set")
+    if cfg.batch < 1:
+        raise UsageError(f"batch must be >= 1, got {cfg.batch}")
     labels = {s.label for s in dataset}
     if labels != {0, 1}:
         raise UsageError(f"training set must contain both classes, got labels {sorted(labels)}")
@@ -342,8 +392,6 @@ def metrics_from_scores(scores: np.ndarray, labels: np.ndarray,
 def evaluate(head: ClassifierHead, dataset: Sequence[SequenceSample],
              threshold: float = 0.5) -> Metrics:
     """Confusion counts at the threshold plus accuracy, F1, and rank AUC."""
-    if not dataset:
-        raise UsageError("cannot evaluate an empty dataset")
     scores = predict_scores(head, dataset)
     labels = np.array([s.label for s in dataset])
     return metrics_from_scores(scores, labels, threshold)

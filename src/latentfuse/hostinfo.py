@@ -1,4 +1,4 @@
-"""Host facts that decide how many threads may encode windows at once.
+"""Host facts that size nnkernel's map: how many threads may run at once.
 
 cpu_count is the number of CPUs this process may run on. blas_threads is
 the thread count of the OpenBLAS that numpy loaded, read from the library

@@ -28,20 +28,30 @@ Conventions, pinned for cross-run reproducibility:
   the cache-free inference pass: its scratch and activations live in the
   calling thread's Arena, reused from call to call, and its result is
   bitwise stack_forward's.
+- map_windows runs independent items (a request's windows, a head batch's
+  time steps) on every idle CPU: the calling thread and the workers of one
+  persistent pool each take items until none are left (docs/design.md,
+  "Parallelism").
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import os
 import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from . import hostinfo
 from .errors import NumericError, UsageError
+
+log = logging.getLogger(__name__)
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -299,6 +309,24 @@ class ParamStore:
         return sum(v.size for v in self.values.values())
 
 
+class GradTape:
+    """A ParamStore stand-in for backward that keeps gradients instead of adding them.
+
+    It reads the store's values, and `grads` lists each (name, gradient)
+    in the order backward produced them. Backward passes on separate tapes
+    can share one store across threads; adding the tapes' gradients into
+    the store in a fixed order afterwards gives the same sums as running
+    the passes in that order on the store itself.
+    """
+
+    def __init__(self, store: ParamStore) -> None:
+        self.values = store.values
+        self.grads: list[tuple[str, np.ndarray]] = []
+
+    def accumulate(self, name: str, grad: np.ndarray) -> None:
+        self.grads.append((name, grad))
+
+
 def init_params(descs: Iterable[LayerDescriptor], store: ParamStore, rng: Rng,
                 dtype=np.float32) -> None:
     """Register and initialize parameters for a stack, in stack order."""
@@ -396,6 +424,110 @@ def thread_arena() -> Arena:
     if arena is None:
         arena = _thread.arena = Arena()
     return arena
+
+
+# ---------------------------------------------------------------------------
+# The window map
+# ---------------------------------------------------------------------------
+
+def window_runners() -> int:
+    """Threads that may run map items at once: max(1, CPUs // BLAS threads).
+
+    Each runner's GEMMs run on the BLAS's own threads, so more runners than
+    CPUs / BLAS threads would only oversubscribe the CPUs. An unknown BLAS
+    gives 1, and so does OpenBLAS at its default of one thread per CPU.
+    """
+    blas = hostinfo.blas_threads()
+    if blas is None or blas < 1:
+        return 1
+    return max(1, hostinfo.cpu_count() // blas)
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_workers = 0
+_pool_lock = threading.Lock()
+_mapping = threading.local()  # .active while this thread runs a map's items
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's pool threads, so it makes its own."""
+    global _pool, _pool_workers, _pool_lock
+    _pool, _pool_workers, _pool_lock = None, 0, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _submit(workers: int, task: Callable[[], None]) -> list[Future]:
+    """Run task once on each of `workers` threads of the module's pool.
+
+    The pool is made on first need and reused, so each worker keeps its
+    inference arena from call to call. A call that needs more workers
+    replaces it; tasks already given to the old pool still run.
+    """
+    global _pool, _pool_workers
+    with _pool_lock:
+        if _pool_workers < workers:
+            if _pool is not None:
+                _pool.shutdown(wait=False)
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="latentfuse-window")
+            # each task waits for all the others, so each gets its own thread
+            start = threading.Barrier(workers + 1)
+            for _ in range(workers):
+                _pool.submit(start.wait)
+            start.wait()
+            _pool_workers = workers
+            log.info("window map: %d runners (%d CPUs, %d BLAS threads)",
+                     workers + 1, hostinfo.cpu_count(), hostinfo.blas_threads())
+        return [_pool.submit(task) for _ in range(workers)]
+
+
+def map_windows(fn: Callable, items: Iterable) -> list:
+    """[fn(x) for x in items], with the items spread over window_runners() threads.
+
+    The items are a request's windows or a head batch's time steps. The
+    calling thread and n - 1 pool workers take the next unclaimed item
+    until none is left, and each result lands at its item's index. fn must
+    be safe to run on several threads at once and must not depend on which
+    thread runs it (each thread has its own arena), so the results are
+    bitwise the serial ones. When items fail, the exception of the lowest
+    failing index is raised, as the serial loop would raise it. With one
+    runner, or inside another map, this is the plain loop.
+    """
+    items = list(items)
+    n = min(len(items), window_runners())
+    if n <= 1 or getattr(_mapping, "active", False):
+        return [fn(x) for x in items]
+    results: list = [None] * len(items)
+    failures: list[tuple[int, Exception]] = []
+    order = iter(range(len(items)))
+    claim_lock = threading.Lock()
+
+    def drain() -> None:
+        _mapping.active = True
+        try:
+            # an index is claimed only after every lower one, so once all
+            # runners stop, the lowest failure is the one the loop would raise
+            while not failures:
+                with claim_lock:
+                    i = next(order, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = fn(items[i])
+                except Exception as exc:
+                    failures.append((i, exc))
+        finally:
+            _mapping.active = False
+
+    workers = _submit(n - 1, drain)
+    drain()
+    for w in workers:
+        w.result()
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return results
 
 
 # ---------------------------------------------------------------------------

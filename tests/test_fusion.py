@@ -194,6 +194,43 @@ def test_train_classifier_rejects_single_class():
         fusion.train_classifier([])
 
 
+@pytest.mark.parametrize("batch", [0, -1])
+def test_train_classifier_rejects_batch_below_one(batch):
+    data = synthetic.make_separable_sequences(4, m=1, d=4, grid=8, seq_len=2)
+    with pytest.raises(UsageError, match="batch"):
+        fusion.train_classifier(data, fusion.ClassifierConfig(epochs=1, batch=batch))
+
+
+@pytest.mark.parametrize("batch", [0, -1])
+def test_predict_scores_rejects_batch_below_one(batch):
+    head = fusion.build_head(4, grid=8, seed=0)
+    data = synthetic.make_separable_sequences(2, m=1, d=4, grid=8, seq_len=2)
+    with pytest.raises(UsageError, match="batch"):
+        fusion.predict_scores(head, data, batch=batch)
+
+
+def test_predict_scores_rejects_an_empty_dataset():
+    head = fusion.build_head(4, grid=8, seed=0)
+    with pytest.raises(UsageError, match="empty"):
+        fusion.predict_scores(head, [])
+
+
+def test_sequence_batch_is_the_stacked_float32_batch():
+    data = synthetic.make_separable_sequences(3, m=2, d=4, grid=8, seq_len=3, seed=6)
+    x, y = fusion._sequence_batch(data)
+    want = np.stack([np.stack([fl.tensor for fl in s.steps]) for s in data])
+    assert x.dtype == np.float32 and x.tobytes() == want.astype(np.float32).tobytes()
+    assert y.dtype == np.float64 and y.tolist() == [s.label for s in data]
+    odd = fusion.SequenceSample(data[0].steps[:2] + [fusion.FusedLatent(
+        np.zeros((4, 8, 8), dtype=np.float32), ("ECG",))], 0)
+    with pytest.raises(UsageError, match="shape"):
+        fusion._sequence_batch([data[1], odd])
+    with pytest.raises(UsageError, match="length"):
+        fusion._sequence_batch([data[1], fusion.SequenceSample(data[0].steps[:2], 0)])
+    with pytest.raises(UsageError, match="step"):
+        fusion._sequence_batch([fusion.SequenceSample([], 0)])
+
+
 def test_training_curve_csv(tmp_path):
     curve = [fusion.EpochStats(0.7, 0.5), fusion.EpochStats(0.5, 0.75)]
     path = tmp_path / "curve.csv"

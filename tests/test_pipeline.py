@@ -145,9 +145,9 @@ def _stop_pool():
     Queued tasks are cancelled, which also frees a runner stuck waiting on
     one, so a test that fails by deadlock still ends.
     """
-    if pipeline._pool is not None:
-        pipeline._pool.shutdown(cancel_futures=True)
-    pipeline._pool, pipeline._pool_workers = None, 0
+    if nn._pool is not None:
+        nn._pool.shutdown(cancel_futures=True)
+    nn._pool, nn._pool_workers = None, 0
 
 
 @pytest.fixture
@@ -159,7 +159,7 @@ def runners(monkeypatch):
     def force(n):
         monkeypatch.setattr(hostinfo, "cpu_count", lambda: n)
         monkeypatch.setattr(hostinfo, "blas_threads", lambda: 1)
-        assert pipeline.window_runners() == n
+        assert nn.window_runners() == n
 
     yield force
     _stop_pool()
@@ -181,14 +181,14 @@ def _window_threads():
 def test_window_runners_sizing_rule(monkeypatch, cpus, blas, want):
     monkeypatch.setattr(hostinfo, "cpu_count", lambda: cpus)
     monkeypatch.setattr(hostinfo, "blas_threads", lambda: blas)
-    assert pipeline.window_runners() == want
+    assert nn.window_runners() == want
 
 
 def test_cpu_count_follows_affinity(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert hostinfo.cpu_count() == 1
     monkeypatch.setattr(hostinfo, "blas_threads", lambda: 1)
-    assert pipeline.window_runners() == 1
+    assert nn.window_runners() == 1
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert hostinfo.cpu_count() == (os.cpu_count() or 1)
 
@@ -223,19 +223,19 @@ def test_map_windows_claims_each_item_once_under_contention(runners):
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = _bounded(lambda: pipeline.map_windows(fn, range(2000)))
+        got = _bounded(lambda: nn.map_windows(fn, range(2000)))
     finally:
         sys.setswitchinterval(old)
     assert got == [sum(range(i % 50)) for i in range(2000)]
     assert calls == [1] * 2000
-    assert pipeline.map_windows(fn, []) == []
+    assert nn.map_windows(fn, []) == []
 
 
 def test_map_inside_a_map_runs_serially(runners):
     # a nested map would otherwise wait on pool tasks queued behind itself
     runners(2)
-    got = _bounded(lambda: pipeline.map_windows(
-        lambda k: pipeline.map_windows(abs, range(-k, 0)), range(6)))
+    got = _bounded(lambda: nn.map_windows(
+        lambda k: nn.map_windows(abs, range(-k, 0)), range(6)))
     assert got == [list(range(k, 0, -1)) for k in range(6)]
 
 
@@ -293,10 +293,10 @@ def test_map_windows_raises_the_lowest_failing_index(runners, n):
         return i
 
     with pytest.raises(ValueError, match="item 0"):
-        pipeline.map_windows(fn, range(20))
+        nn.map_windows(fn, range(20))
     assert ran_on[0] != ran_on[1]
     threads = _window_threads()
-    assert pipeline.map_windows(lambda x: -x, range(20)) == [-x for x in range(20)]
+    assert nn.map_windows(lambda x: -x, range(20)) == [-x for x in range(20)]
     assert _window_threads() == threads
 
 
@@ -340,10 +340,10 @@ def test_map_windows_reuses_threads_and_arenas(runners, n):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_map_windows_works_in_a_forked_child(runners):
     runners(2)
-    assert pipeline.map_windows(abs, range(-4, 4)) == [4, 3, 2, 1, 0, 1, 2, 3]
+    assert nn.map_windows(abs, range(-4, 4)) == [4, 3, 2, 1, 0, 1, 2, 3]
     pid = os.fork()
     if pid == 0:  # the child has the parent's pool object but none of its threads
-        ok = pipeline.map_windows(abs, range(-4, 4)) == [4, 3, 2, 1, 0, 1, 2, 3]
+        ok = nn.map_windows(abs, range(-4, 4)) == [4, 3, 2, 1, 0, 1, 2, 3]
         os._exit(0 if ok else 1)
     deadline = time.monotonic() + 60
     while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
@@ -356,8 +356,121 @@ def test_map_windows_works_in_a_forked_child(runners):
 
 def test_pool_is_logged_once_when_made(runners, caplog):
     runners(2)
-    with caplog.at_level(logging.INFO, logger="latentfuse.pipeline"):
-        pipeline.map_windows(abs, range(8))
-        pipeline.map_windows(abs, range(8))
+    with caplog.at_level(logging.INFO, logger="latentfuse.nnkernel"):
+        nn.map_windows(abs, range(8))
+        nn.map_windows(abs, range(8))
     made = [r.getMessage() for r in caplog.records if "window map" in r.getMessage()]
     assert made == ["window map: 2 runners (2 CPUs, 1 BLAS threads)"]
+
+
+# ---------------------------------------------------------------------------
+# The head's time steps on the map
+# ---------------------------------------------------------------------------
+
+def _head_data(seed, n=20):
+    return synthetic.make_separable_sequences(n, m=3, d=4, grid=8, seq_len=5,
+                                              distance=2.0, seed=seed)
+
+
+def test_head_training_and_scoring_parallel_is_bitwise_serial(runners):
+    held = _head_data(99, n=11)
+    results = {}
+    for n in (1, 2, 3):
+        runners(n)
+        got = []
+        for seed in (0, 1):
+            cfg = fusion.ClassifierConfig(epochs=2, batch=6, seed=seed)
+            head, curve = fusion.train_classifier(_head_data(seed), cfg)
+            got.append(([head.store.values[k].tobytes() for k in head.store.names()],
+                        [(s.loss, s.accuracy) for s in curve],
+                        fusion.predict_scores(head, held, batch=4).tobytes(),
+                        [fusion.classify(head, s) for s in held[:3]],
+                        fusion.evaluate(head, held).to_json()))
+        results[n] = got
+    assert results[2] == results[1]
+    assert results[3] == results[1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_backward_logits_is_the_step_by_step_bptt(runners, n):
+    # the conv grads of each step are added last step first, as this loop does
+    runners(n)
+    head = fusion.build_head(12, grid=8, seed=4)
+    x, y = fusion._sequence_batch(_head_data(5, n=6))
+    logits, caches = fusion.forward_logits(head, x)
+    _, dlogits = nn.bce_with_logits(logits, y)
+    head.store.zero_grads()
+    fusion.backward_logits(head, caches, dlogits)
+    got = {k: g.copy() for k, g in head.store.grads.items()}
+
+    head.store.zero_grads()
+    store = head.store
+    gh = nn.backward(head.out, store, caches[2], dlogits[:, None].astype(np.float32))
+    for t in range(x.shape[1] - 1, -1, -1):
+        feats, conv_cache = caches[0][t]
+        gx, gh = nn.backward(head.cell, store, caches[1][t], gh)
+        nn.stack_backward(head.conv, store, conv_cache, gx.reshape(feats.shape),
+                          need_grad_in=False)
+    for k, g in store.grads.items():
+        assert got[k].tobytes() == g.tobytes(), k
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_predict_scores_reuses_threads_and_arenas(runners, monkeypatch, n):
+    runners(n)
+    head = fusion.build_head(12, grid=8, seed=0)
+    data = _head_data(7, n=10)
+    arenas = {}
+    all_in = threading.Barrier(n)
+    stack_infer = nn.stack_infer
+
+    def infer_first_waits(*args):
+        # the warm call: every runner takes a step before any goes on
+        if threading.get_ident() not in arenas:
+            arenas[threading.get_ident()] = nn.thread_arena()
+            all_in.wait(timeout=30)
+        return stack_infer(*args)
+
+    monkeypatch.setattr(nn, "stack_infer", infer_first_waits)
+    want = fusion.predict_scores(head, data, batch=6)
+    assert len(arenas) == n
+    warm = {ident: arena.nbytes for ident, arena in arenas.items()}
+    assert all(size > 0 for size in warm.values())
+    threads = _window_threads()
+    assert len(threads) == n - 1
+
+    used = set()
+
+    def infer_noting_thread(*args):
+        used.add(threading.get_ident())
+        return stack_infer(*args)
+
+    monkeypatch.setattr(nn, "stack_infer", infer_noting_thread)
+    for _ in range(2):
+        assert fusion.predict_scores(head, data, batch=6).tobytes() == want.tobytes()
+    assert _window_threads() == threads
+    assert used <= set(arenas)
+    assert {ident: arena.nbytes for ident, arena in arenas.items()} == warm
+
+
+def test_head_steps_under_contention_are_bitwise_serial(runners):
+    # four runners on two cores, switching threads as often as possible
+    data, held = _head_data(3, n=12), _head_data(4, n=7)
+    cfg = fusion.ClassifierConfig(epochs=1, batch=4, seed=2)
+
+    def train_and_score():
+        head, curve = fusion.train_classifier(data, cfg)
+        return ([head.store.values[k].tobytes() for k in head.store.names()],
+                [(s.loss, s.accuracy) for s in curve],
+                fusion.predict_scores(head, held, batch=3).tobytes())
+
+    runners(1)
+    want = train_and_score()
+    runners(4)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _bounded(train_and_score)
+    finally:
+        sys.setswitchinterval(old)
+    assert got == want
