@@ -29,9 +29,14 @@ Conventions, pinned for cross-run reproducibility:
   calling thread's Arena, reused from call to call, and its result is
   bitwise stack_forward's.
 - map_windows runs independent items (a request's windows, a head batch's
-  time steps) on every idle CPU: the calling thread and the workers of one
-  persistent pool each take items until none are left (docs/design.md,
-  "Parallelism").
+  time steps, a training conv's image ranges) on every idle CPU: the
+  calling thread and the workers of one persistent pool each take items
+  until none are left (docs/design.md, "Parallelism").
+- A training conv's forward runs one contiguous image range per runner,
+  and its backward hands the weight-gradient GEMM to a pool worker while
+  the caller goes on down the input-gradient chain. At most one such GEMM
+  is in flight, and each is added into the store before the outermost
+  backward or stack_backward returns. Both are bitwise the serial call.
 """
 
 from __future__ import annotations
@@ -459,46 +464,60 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _submit(workers: int, task: Callable[[], None]) -> list[Future]:
-    """Run task once on each of `workers` threads of the module's pool.
+def _ensure_pool(workers: int) -> ThreadPoolExecutor:
+    """The module's pool, with at least `workers` threads; call it holding
+    _pool_lock.
 
     The pool is made on first need and reused, so each worker keeps its
     inference arena from call to call. A call that needs more workers
     replaces it; tasks already given to the old pool still run.
     """
     global _pool, _pool_workers
+    if _pool_workers < workers:
+        if _pool is not None:
+            _pool.shutdown(wait=False)
+        _pool = ThreadPoolExecutor(workers, thread_name_prefix="latentfuse-window")
+        # each task waits for all the others, so each gets its own thread
+        start = threading.Barrier(workers + 1)
+        for _ in range(workers):
+            _pool.submit(start.wait)
+        start.wait()
+        _pool_workers = workers
+        log.info("window map: %d runners (%d CPUs, %d BLAS threads)",
+                 workers + 1, hostinfo.cpu_count(), hostinfo.blas_threads())
+    return _pool
+
+
+def _submit(workers: int, task: Callable[[], None]) -> list[Future]:
+    """Run task once on each of `workers` threads of the module's pool."""
     with _pool_lock:
-        if _pool_workers < workers:
-            if _pool is not None:
-                _pool.shutdown(wait=False)
-            _pool = ThreadPoolExecutor(workers, thread_name_prefix="latentfuse-window")
-            # each task waits for all the others, so each gets its own thread
-            start = threading.Barrier(workers + 1)
-            for _ in range(workers):
-                _pool.submit(start.wait)
-            start.wait()
-            _pool_workers = workers
-            log.info("window map: %d runners (%d CPUs, %d BLAS threads)",
-                     workers + 1, hostinfo.cpu_count(), hostinfo.blas_threads())
-        return [_pool.submit(task) for _ in range(workers)]
+        pool = _ensure_pool(workers)
+        return [pool.submit(task) for _ in range(workers)]
 
 
 def map_windows(fn: Callable, items: Iterable) -> list:
     """[fn(x) for x in items], with the items spread over window_runners() threads.
 
-    The items are a request's windows or a head batch's time steps. The
-    calling thread and n - 1 pool workers take the next unclaimed item
-    until none is left, and each result lands at its item's index. fn must
-    be safe to run on several threads at once and must not depend on which
-    thread runs it (each thread has its own arena), so the results are
-    bitwise the serial ones. When items fail, the exception of the lowest
-    failing index is raised, as the serial loop would raise it. With one
-    runner, or inside another map, this is the plain loop.
+    The items are a request's windows, a head batch's time steps or a
+    training conv's image ranges. The calling thread and n - 1 pool workers
+    take the next unclaimed item until none is left, and each result lands
+    at its item's index. fn must be safe to run on several threads at once
+    and must not depend on which thread runs it (each thread has its own
+    arena), so the results are bitwise the serial ones. When items fail,
+    the exception of the lowest failing index is raised, as the serial loop
+    would raise it. With one runner, one item, or inside another map, this
+    is the plain loop. Either way fn runs as a map's item: a map or training
+    conv inside it stays on its thread.
     """
     items = list(items)
-    n = min(len(items), window_runners())
-    if n <= 1 or getattr(_mapping, "active", False):
-        return [fn(x) for x in items]
+    n = min(len(items), _free_runners())
+    if n <= 1:
+        outer = getattr(_mapping, "active", False)
+        _mapping.active = True
+        try:
+            return [fn(x) for x in items]
+        finally:
+            _mapping.active = outer
     results: list = [None] * len(items)
     failures: list[tuple[int, Exception]] = []
     order = iter(range(len(items)))
@@ -530,6 +549,128 @@ def map_windows(fn: Callable, items: Iterable) -> list:
     return results
 
 
+def _free_runners() -> int:
+    """window_runners(), or 1 on a thread that runs a map's items."""
+    return 1 if getattr(_mapping, "active", False) else window_runners()
+
+
+def _batch_ranges(n: int) -> list[range]:
+    """n images as one contiguous range per runner; a single range with one
+    runner or on a thread that runs a map's items."""
+    parts = min(n, _free_runners())
+    if parts <= 1:
+        return [range(n)]
+    return [range(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
+
+
+_backprop = threading.local()  # .depth: open backward calls; .job: the GEMM in flight
+
+
+class _BackwardScope:
+    """One backward or stack_backward call on this thread. When the
+    outermost one ends, the weight-gradient GEMM still in flight is added
+    into its store, or, if the call raised, waited for and dropped."""
+
+    __slots__ = ("depth",)
+
+    def __enter__(self) -> None:
+        self.depth = getattr(_backprop, "depth", 0)
+        _backprop.depth = self.depth + 1
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        _backprop.depth = self.depth
+        if self.depth == 0:
+            _settle_weight_grad(keep=exc_type is None)
+
+
+def _settle_weight_grad(keep: bool = True) -> None:
+    """Wait for this thread's weight-gradient GEMM in flight, if any, then
+    add it into its store (keep) or drop it."""
+    job = getattr(_backprop, "job", None)
+    if job is None:
+        return
+    _backprop.job = None
+    store, name, out, done = job
+    if keep:
+        done.result()
+        store.accumulate(name, out.reshape(store.values[name].shape))
+    else:
+        done.exception()  # waits; the error being raised is the caller's
+
+
+def _add_weight_grad(store: ParamStore, name: str, grad_rows: np.ndarray,
+                     cols: np.ndarray, *, overlap: bool) -> None:
+    """Accumulate the `_weight_grad_operands` GEMM into parameter `name`.
+
+    With overlap, a second runner and no map running on this thread, the
+    GEMM goes to a pool worker, into an array allocated here, and this
+    thread goes on. The GEMM before it is added first, so at most one is
+    in flight, and each parameter's gradients are added in call order.
+    """
+    gm, rows = _weight_grad_operands(grad_rows, cols)
+    runners = _free_runners()
+    if not overlap or runners < 2:
+        store.accumulate(name, np.dot(gm, rows).reshape(store.values[name].shape))
+        return
+    out = np.empty((gm.shape[0], rows.shape[1]), np.result_type(gm, rows))
+    _settle_weight_grad()
+    with _pool_lock:
+        done = _ensure_pool(runners - 1).submit(np.dot, gm, rows, out=out)
+    _backprop.job = (store, name, out, done)
+
+
+def _conv2d_ranges(x: np.ndarray, wm: np.ndarray, k: int, s: int, p: int,
+                   ranges: list[range]) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """np.matmul(wm, cols) and the cols of `_im2col(x, k, s, p)`, one image
+    range per runner of the map.
+
+    The padded input, the (c*k*k, n, ho*wo) column store and the output
+    are allocated here, for the whole batch; each runner pads, unfolds and
+    multiplies its own images, with the per-image GEMMs of the one call.
+    """
+    n, c, h, w = x.shape
+    ho = (h + 2 * p - k) // s + 1
+    wo = (w + 2 * p - k) // s + 1
+    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    store = np.empty((c * k * k, n, ho * wo), dtype=x.dtype)
+    patches = store.reshape(c, k, k, n, ho, wo)
+    cols = store.transpose(1, 0, 2)
+    out = np.empty((n, wm.shape[0], ho * wo), dtype=np.result_type(wm, x))
+
+    def run(r: range) -> None:
+        part = slice(r.start, r.stop)
+        xp[part, :, p:p + h, p:p + w] = x[part]
+        patches[:, :, :, part] = _windows(xp[part], k, s, ho, wo)
+        np.matmul(wm, cols[part], out=out[part])
+
+    map_windows(run, ranges)
+    return out, cols, ho, wo
+
+
+def _conv_transpose2d_ranges(xf: np.ndarray, wm: np.ndarray, shape: tuple[int, ...],
+                             k: int, s: int, p: int, h: int, w: int,
+                             ranges: list[range]) -> np.ndarray:
+    """_col2im(np.matmul(wm.T, xf), shape, k, s, p, h, w), one image range
+    per runner of the map. The columns and the output are allocated here,
+    for the whole batch; each runner's col2im scratch comes from its arena."""
+    dtype = np.result_type(wm, xf)
+    cols = np.empty((xf.shape[0], wm.shape[1], h * w), dtype=dtype)
+    out = np.empty(shape, dtype=dtype)
+
+    def run(r: range) -> None:
+        part = slice(r.start, r.stop)
+        np.matmul(wm.T, xf[part], out=cols[part])
+        arena = thread_arena()
+        mark = arena.mark()
+        try:
+            _col2im(cols[part], out[part].shape, k, s, p, h, w, out[part], arena)
+        finally:
+            arena.release(mark)
+
+    map_windows(run, ranges)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Elementwise helpers
 # ---------------------------------------------------------------------------
@@ -544,13 +685,21 @@ def sigmoid_fn(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _windows(xp: np.ndarray, k: int, s: int, ho: int, wo: int) -> np.ndarray:
+    """The (c, k, k, n, ho, wo) patch view of a padded (n, c, H, W) batch."""
+    n, c = xp.shape[:2]
+    sn, sc, sh, sw = xp.strides
+    return as_strided(xp, (c, k, k, n, ho, wo), (sc, sh, sw, sn, sh * s, sw * s))
+
+
 def _im2col(x: np.ndarray, k: int, s: int, p: int, arena: Arena | None = None
             ) -> tuple[np.ndarray, int, int]:
     """Patch columns of shape (n, c*k*k, ho*wo), stored image-interleaved.
 
     The memory order is (c*k*k, n, ho*wo): each image's (c*k*k, ho*wo) matrix
     is a strided view that BLAS takes as is, and all images' columns side by
-    side are a (c*k*k, n*ho*wo) view, which `_weight_grad` hands to one GEMM.
+    side are a (c*k*k, n*ho*wo) view, which `_weight_grad_operands` hands to
+    one GEMM.
     With an arena, the padded input and the columns are arena blocks.
     """
     n, c, h, w = x.shape
@@ -559,8 +708,7 @@ def _im2col(x: np.ndarray, k: int, s: int, p: int, arena: Arena | None = None
     xp[:, :, p:p + h, p:p + w] = x
     ho = (h + 2 * p - k) // s + 1
     wo = (w + 2 * p - k) // s + 1
-    sn, sc, sh, sw = xp.strides
-    windows = as_strided(xp, (c, k, k, n, ho, wo), (sc, sh, sw, sn, sh * s, sw * s))
+    windows = _windows(xp, k, s, ho, wo)
     if arena is None:
         cols = windows.reshape(c * k * k, n, ho * wo)
     else:
@@ -569,8 +717,10 @@ def _im2col(x: np.ndarray, k: int, s: int, p: int, arena: Arena | None = None
     return cols.transpose(1, 0, 2), ho, wo
 
 
-def _weight_grad(grad_rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """sum over images b of grad_rows[b] @ cols[b].T, as one GEMM.
+def _weight_grad_operands(grad_rows: np.ndarray, cols: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) with np.dot(a, b) = sum over images i of grad_rows[i] @ cols[i].T,
+    one GEMM.
 
     grad_rows is (n, r, P) and cols an `_im2col` result, whose (rows, n*P)
     matrix is a view. The operand shapes are those np.tensordot over axes
@@ -578,7 +728,7 @@ def _weight_grad(grad_rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """
     gm = grad_rows.transpose(1, 0, 2).reshape(grad_rows.shape[1], -1)
     rows = cols.transpose(1, 0, 2)
-    return np.dot(gm, rows.reshape(rows.shape[0], -1).T)
+    return gm, rows.reshape(rows.shape[0], -1).T
 
 
 def _col2im(cols: np.ndarray, x_shape: tuple[int, ...], k: int, s: int, p: int,
@@ -658,6 +808,9 @@ def forward(desc: LayerDescriptor, store: ParamStore, x, arena: Arena | None = N
     Feed-forward kinds take a batched array. recurrent_cell takes a tuple
     (x, h) of (N, x_dim) and (N, hidden) and returns the next hidden state.
 
+    Without an arena, conv2d and conv_transpose2d run one image range per
+    runner of the map (`_batch_ranges`), bitwise the one call.
+
     With an arena the call is an inference step, bitwise the plain one:
     conv2d, conv_transpose2d, relu and residual_block take their scratch and
     output from the arena and return no cache (None), and relu overwrites an
@@ -672,8 +825,7 @@ def forward(desc: LayerDescriptor, store: ParamStore, x, arena: Arena | None = N
         k, s, p = desc.kernel, desc.stride, desc.padding
         wm = w.reshape(desc.out_channels, -1)
         if arena is None:
-            cols, ho, wo = _im2col(x, k, s, p)
-            out = np.matmul(wm, cols)
+            out, cols, ho, wo = _conv2d_ranges(x, wm, k, s, p, _batch_ranges(x.shape[0]))
             cache = (x.shape, cols, ho, wo)
         else:
             _, ho, wo = out_shape(desc, x.shape[1:])
@@ -698,7 +850,7 @@ def forward(desc: LayerDescriptor, store: ParamStore, x, arena: Arena | None = N
         wo = (wdt - 1) * s - 2 * p + k
         shape = (n, desc.out_channels, ho, wo)
         if arena is None:
-            out = _col2im(np.matmul(wm.T, xf), shape, k, s, p, h, wdt)
+            out = _conv_transpose2d_ranges(xf, wm, shape, k, s, p, h, wdt, _batch_ranges(n))
             cache = (xf, (h, wdt))
         else:
             dtype = np.result_type(w, x)
@@ -767,7 +919,17 @@ def backward(desc: LayerDescriptor, store: ParamStore, cache, grad_out, *,
     For recurrent_cell, grad_out is dL/dh' and the return value is the pair
     (dL/dx, dL/dh). With need_grad_in False only the parameter grads are
     accumulated (bitwise as with True) and None is returned.
+
+    A conv's weight gradient may still be in flight when a backward called
+    from inside another backward or stack_backward returns
+    (`_add_weight_grad`); the outermost call adds it before it returns.
     """
+    with _BackwardScope():
+        return _backward(desc, store, cache, grad_out, need_grad_in)
+
+
+def _backward(desc: LayerDescriptor, store: ParamStore, cache, grad_out,
+              need_grad_in: bool):
     if not need_grad_in and not param_specs(desc):
         return None
     if desc.kind == "conv2d":
@@ -775,7 +937,7 @@ def backward(desc: LayerDescriptor, store: ParamStore, cache, grad_out, *,
         n = x_shape[0]
         w = store.values[f"{desc.name}.w"]
         gm = grad_out.reshape(n, desc.out_channels, ho * wo)
-        store.accumulate(f"{desc.name}.w", _weight_grad(gm, cols).reshape(w.shape))
+        _add_weight_grad(store, f"{desc.name}.w", gm, cols, overlap=need_grad_in)
         store.accumulate(f"{desc.name}.b", gm.sum(axis=(0, 2)))
         if not need_grad_in:
             return None
@@ -788,7 +950,7 @@ def backward(desc: LayerDescriptor, store: ParamStore, cache, grad_out, *,
         w = store.values[f"{desc.name}.w"]
         k, s, p = desc.kernel, desc.stride, desc.padding
         gcols, _, _ = _im2col(grad_out, k, s, p)
-        store.accumulate(f"{desc.name}.w", _weight_grad(xf, gcols).reshape(w.shape))
+        _add_weight_grad(store, f"{desc.name}.w", xf, gcols, overlap=need_grad_in)
         store.accumulate(f"{desc.name}.b", grad_out.sum(axis=(0, 2, 3)))
         if not need_grad_in:
             return None
@@ -879,10 +1041,11 @@ def stack_backward(descs: Sequence[LayerDescriptor], store: ParamStore, caches,
                    ) -> np.ndarray | None:
     """Backpropagate a stack; with need_grad_in False its first layer skips
     its input gradient and None is returned."""
-    g = grad_out
-    for i in range(len(descs) - 1, -1, -1):
-        g = backward(descs[i], store, caches[i], g, need_grad_in=need_grad_in or i > 0)
-    return g
+    with _BackwardScope():
+        g = grad_out
+        for i in range(len(descs) - 1, -1, -1):
+            g = backward(descs[i], store, caches[i], g, need_grad_in=need_grad_in or i > 0)
+        return g
 
 
 # ---------------------------------------------------------------------------

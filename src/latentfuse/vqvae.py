@@ -125,6 +125,8 @@ def build_model(codebook_size: int = 128, embed_dim: int = 16, seed: int = 0,
     """Seeded model construction; equal seeds give bitwise-equal parameters."""
     if codebook_size < 2:
         raise UsageError("codebook needs at least 2 entries")
+    if embed_dim < 1:
+        raise UsageError(f"embed_dim must be >= 1, got {embed_dim}")
     encoder = build_encoder(embed_dim)
     decoder = build_decoder(embed_dim) if with_decoder else []
     store = nn.ParamStore()
@@ -258,12 +260,17 @@ def train_vqvae(dataset: list[SpectralImage] | np.ndarray,
     Returns the trained model and one VqLossReport per step, evaluated on
     that step's batch before its parameter update (so curve[0] reflects the
     seeded initialization). Batches are drawn with replacement from a
-    deterministic stream; equal configs give bitwise-equal models.
+    deterministic stream; equal configs give bitwise-equal models. A
+    float32 array is used as given, never written: each batch is a copy.
     """
+    if cfg.batch < 1:
+        raise UsageError(f"batch must be >= 1, got {cfg.batch}")
+    if cfg.steps < 0:
+        raise UsageError(f"steps must be >= 0, got {cfg.steps}")
     if isinstance(dataset, np.ndarray):
-        images = dataset.astype(np.float32)
+        images = np.asarray(dataset, dtype=np.float32)
     else:
-        images = np.stack([im.pixels for im in dataset]).astype(np.float32)
+        images = np.asarray(np.stack([im.pixels for im in dataset]), dtype=np.float32)
     if images.ndim != 4 or images.shape[1:] != (3, IMAGE_SIZE, IMAGE_SIZE):
         raise UsageError(f"training images must be (N, 3, {IMAGE_SIZE}, {IMAGE_SIZE}), "
                          f"got {images.shape}")

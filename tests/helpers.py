@@ -2,12 +2,26 @@
 
 Each function here recomputes a contract from first principles (loops and
 definitions, no shortcuts shared with the implementation) so the tests
-compare two genuinely different routes to the same answer.
+compare two genuinely different routes to the same answer. `bounded` is
+the one exception: it fails a test that hangs.
 """
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
+
+
+def bounded(fn, seconds=60):
+    """fn() on a daemon thread, failing the test if it does not return in time."""
+    out = []
+    t = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+    t.start()
+    t.join(timeout=seconds)
+    assert not t.is_alive(), "timed out"
+    assert out, "raised"
+    return out[0]
 
 
 def fd_param_error(loss_fn, store, analytic: dict[str, np.ndarray],

@@ -396,6 +396,74 @@ def test_stack_backward_without_input_grad_keeps_param_grads_bitwise(first):
         assert g.tobytes() == want[name].tobytes(), name
 
 
+def _conv_stack(kind):
+    lead = {"conv2d": nn.conv2d("a", 3, 4, 4, s=2, p=1),
+            "conv_transpose2d": nn.conv_transpose2d("a", 3, 4, 4, s=2, p=1)}[kind]
+    descs = [lead, nn.relu(), nn.residual_block("r", 4)]
+    store = nn.ParamStore()
+    nn.init_params(descs, store, nn.seed_rng(6))
+    rs = np.random.default_rng(6)
+    x = rs.standard_normal((5, 3, 8, 8)).astype(np.float32)
+    coef = rs.standard_normal((5,) + nn.stack_out_shape(descs, (3, 8, 8))).astype(np.float32)
+    return descs, store, x, coef
+
+
+def _no_gradient_in_flight():
+    return getattr(nn._backprop, "job", None) is None and getattr(nn._backprop, "depth", 0) == 0
+
+
+@pytest.mark.parametrize("kind", ["conv2d", "conv_transpose2d"])
+def test_conv_backward_returns_with_every_gradient_in_the_store(runners, kind):
+    """backward and stack_backward add the weight-gradient GEMMs they hand
+    to pool workers before they return, and every output is bitwise one
+    runner's."""
+    descs, store, x, coef = _conv_stack(kind)
+    got = {}
+    for n in (1, 2, 3):
+        runners(n)
+        y, caches = nn.stack_forward(descs, store, x)
+        store.zero_grads()
+        gx = nn.stack_backward(descs, store, caches, coef)
+        assert _no_gradient_in_flight()
+        stack = {name: g.tobytes() for name, g in store.grads.items()}
+        store.zero_grads()
+        g_lead = nn.stack_backward(descs[1:], store, caches[1:], coef)
+        g1 = nn.backward(descs[0], store, caches[0], g_lead)
+        assert _no_gradient_in_flight()
+        assert g1.tobytes() == gx.tobytes()
+        assert {name: g.tobytes() for name, g in store.grads.items()} == stack
+        got[n] = (y.tobytes(), gx.tobytes(), stack)
+    assert got[2] == got[1]
+    assert got[3] == got[1]
+
+
+def test_backward_that_raises_drops_the_gradient_in_flight(runners):
+    runners(2)
+    descs = [nn.conv2d("a", 3, 4, 3, s=1, p=1), nn.relu(), nn.conv2d("b", 4, 4, 3, s=1, p=1)]
+    store = nn.ParamStore()
+    nn.init_params(descs, store, nn.seed_rng(2))
+    rs = np.random.default_rng(2)
+    x = rs.standard_normal((4, 3, 8, 8)).astype(np.float32)
+    y, caches = nn.stack_forward(descs, store, x)
+    coef = rs.standard_normal(y.shape).astype(np.float32)
+    store.zero_grads()
+    want_gx = nn.stack_backward(descs, store, caches, coef)
+    want = {name: g.tobytes() for name, g in store.grads.items()}
+
+    store.zero_grads()
+    broken = [caches[0], (np.ones(7, dtype=bool),), caches[2]]  # relu's mask does not fit
+    with pytest.raises(ValueError):
+        nn.stack_backward(descs, store, broken, coef)
+    assert _no_gradient_in_flight()
+    assert not store.grads["b.w"].any()  # b's weight gradient was in flight: dropped
+    assert store.grads["b.b"].any()
+
+    store.zero_grads()
+    gx = nn.stack_backward(descs, store, caches, coef)
+    assert gx.tobytes() == want_gx.tobytes()
+    assert {name: g.tobytes() for name, g in store.grads.items()} == want
+
+
 # ---------------------------------------------------------------------------
 # Optimizer and losses
 # ---------------------------------------------------------------------------

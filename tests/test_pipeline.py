@@ -16,6 +16,8 @@ from latentfuse.errors import DataError, UsageError
 from latentfuse.ingest import slide_windows, window_stream
 from latentfuse.spectral import spectral_image
 
+from helpers import bounded
+
 MODALITIES = pipeline.PERMUTATIONS[6]
 
 
@@ -139,32 +141,6 @@ def test_encoding_runs_missing_encoder_fails_untimed():
 # The window map
 # ---------------------------------------------------------------------------
 
-def _stop_pool():
-    """Join the module's pool threads; the next parallel map makes a new pool.
-
-    Queued tasks are cancelled, which also frees a runner stuck waiting on
-    one, so a test that fails by deadlock still ends.
-    """
-    if nn._pool is not None:
-        nn._pool.shutdown(cancel_futures=True)
-    nn._pool, nn._pool_workers = None, 0
-
-
-@pytest.fixture
-def runners(monkeypatch):
-    """force(n) sizes every later map at n runners (n CPUs, one BLAS thread),
-    on a pool of this test's own."""
-    _stop_pool()
-
-    def force(n):
-        monkeypatch.setattr(hostinfo, "cpu_count", lambda: n)
-        monkeypatch.setattr(hostinfo, "blas_threads", lambda: 1)
-        assert nn.window_runners() == n
-
-    yield force
-    _stop_pool()
-
-
 def _window_threads():
     return {t for t in threading.enumerate() if t.name.startswith("latentfuse-window")}
 
@@ -200,17 +176,6 @@ def test_blas_threads_reads_the_loaded_library():
         assert threads == int(os.environ["OPENBLAS_NUM_THREADS"])
 
 
-def _bounded(fn, seconds=60):
-    """fn() on a daemon thread, failing the test if it does not return in time."""
-    out = []
-    t = threading.Thread(target=lambda: out.append(fn()), daemon=True)
-    t.start()
-    t.join(timeout=seconds)
-    assert not t.is_alive(), "timed out"
-    assert out, "raised"
-    return out[0]
-
-
 def test_map_windows_claims_each_item_once_under_contention(runners):
     # four runners on two cores, switching threads as often as possible
     runners(4)
@@ -223,7 +188,7 @@ def test_map_windows_claims_each_item_once_under_contention(runners):
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = _bounded(lambda: nn.map_windows(fn, range(2000)))
+        got = bounded(lambda: nn.map_windows(fn, range(2000)))
     finally:
         sys.setswitchinterval(old)
     assert got == [sum(range(i % 50)) for i in range(2000)]
@@ -234,7 +199,7 @@ def test_map_windows_claims_each_item_once_under_contention(runners):
 def test_map_inside_a_map_runs_serially(runners):
     # a nested map would otherwise wait on pool tasks queued behind itself
     runners(2)
-    got = _bounded(lambda: nn.map_windows(
+    got = bounded(lambda: nn.map_windows(
         lambda k: nn.map_windows(abs, range(-k, 0)), range(6)))
     assert got == [list(range(k, 0, -1)) for k in range(6)]
 
@@ -391,6 +356,24 @@ def test_head_training_and_scoring_parallel_is_bitwise_serial(runners):
     assert results[3] == results[1]
 
 
+def test_length_one_head_convs_stay_on_the_calling_thread(runners):
+    # one step is the map's plain loop, yet its convs still run as a map's
+    # item: no image-range map and no weight-gradient GEMM on the pool
+    data = synthetic.make_separable_sequences(12, m=3, d=4, grid=8, seq_len=1,
+                                              distance=2.0, seed=6)
+    cfg = fusion.ClassifierConfig(epochs=2, batch=5, seed=0)
+    results = {}
+    for n in (1, 2, 3):
+        runners(n)
+        head, curve = fusion.train_classifier(data, cfg)
+        results[n] = ([head.store.values[k].tobytes() for k in head.store.names()],
+                      [(s.loss, s.accuracy) for s in curve],
+                      fusion.predict_scores(head, data, batch=4).tobytes())
+        assert nn._pool is None
+    assert results[2] == results[1]
+    assert results[3] == results[1]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_backward_logits_is_the_step_by_step_bptt(runners, n):
     # the conv grads of each step are added last step first, as this loop does
@@ -470,7 +453,7 @@ def test_head_steps_under_contention_are_bitwise_serial(runners):
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = _bounded(train_and_score)
+        got = bounded(train_and_score)
     finally:
         sys.setswitchinterval(old)
     assert got == want

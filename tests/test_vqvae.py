@@ -1,6 +1,7 @@
 """Tests for the shared encoder, vector quantizer, loss, and weight files."""
 
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from latentfuse.errors import (BadMagicError, DataError, NumericError,
                                TruncatedPayloadError, UsageError, VersionError)
 from latentfuse.spectral import SpectralImage
 
-from helpers import exhaustive_nearest, fd_array_error
+from helpers import bounded, exhaustive_nearest, fd_array_error
 
 
 def small_images(n, seed=0):
@@ -333,6 +334,87 @@ def test_dead_codes_are_reseeded(monkeypatch):
     moved = [k for k in stale
              if not np.array_equal(after.store.values["codebook"][k], init[k])]
     assert moved == stale
+
+
+def test_train_rejects_bad_config():
+    images = small_images(2)
+    for batch in (0, -1):
+        cfg = vqvae.VqVaeConfig(codebook_size=8, embed_dim=8, steps=2, batch=batch)
+        with pytest.raises(UsageError, match="batch must be >= 1"):
+            vqvae.train_vqvae(images, cfg)
+    cfg = vqvae.VqVaeConfig(codebook_size=8, embed_dim=8, steps=-3)
+    with pytest.raises(UsageError, match="steps must be >= 0"):
+        vqvae.train_vqvae(images, cfg)
+    with pytest.raises(UsageError, match="embed_dim must be >= 1"):
+        vqvae.build_model(8, 0)
+
+
+def test_train_never_writes_its_float32_images():
+    images = small_images(3, seed=5)
+    before = images.copy()
+    vqvae.train_vqvae(images, vqvae.VqVaeConfig(codebook_size=8, embed_dim=8,
+                                                steps=2, batch=2))
+    assert images.tobytes() == before.tobytes()
+
+
+def _trained_bytes(images, cfg):
+    """The weights and the loss curve of a training run, as bytes."""
+    model, curve = vqvae.train_vqvae(images, cfg)
+    weights = {name: v.tobytes() for name, v in model.store.values.items()}
+    terms = np.array([(r.reconstruction, r.codebook_term, r.commitment_term)
+                      for r in curve])
+    return weights, terms.tobytes()
+
+
+@pytest.mark.parametrize("reseed", [False, True])
+def test_train_is_bitwise_at_every_runner_count(runners, monkeypatch, caplog, reseed):
+    """Each conv's image ranges on the map, and each weight-gradient GEMM
+    beside the input-gradient chain, keep every weight and loss bitwise
+    those of one runner; so does a run that re-seeds dead codes."""
+    if reseed:
+        monkeypatch.setattr(vqvae, "DEAD_CODE_WINDOW", 6)
+    images = small_images(4, seed=4)
+    cfg = vqvae.VqVaeConfig(codebook_size=32, embed_dim=8, steps=10 if reseed else 4,
+                            batch=3, seed=21)
+    got = {}
+    for n in (1, 2, 3):
+        runners(n)
+        with caplog.at_level("DEBUG", logger="latentfuse.vqvae"):
+            got[n] = _trained_bytes(images, cfg)
+        reseeded = any("re-seeded" in r.getMessage() for r in caplog.records)
+        assert reseeded == reseed
+        caplog.clear()
+    assert got[2] == got[1]
+    assert got[3] == got[1]
+
+
+def test_train_under_thread_contention_is_bitwise(runners):
+    """Four runners on the host's CPUs, switching threads every microsecond."""
+    images = small_images(4, seed=8)
+    cfg = vqvae.VqVaeConfig(codebook_size=16, embed_dim=8, steps=3, batch=4, seed=5)
+    runners(1)
+    want = _trained_bytes(images, cfg)
+    runners(4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = bounded(lambda: _trained_bytes(images, cfg))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+def test_failed_step_leaves_no_gradient_in_flight(runners):
+    runners(2)
+    cfg = vqvae.VqVaeConfig(codebook_size=8, embed_dim=8, steps=3, batch=2)
+    fresh = _trained_bytes(small_images(2), cfg)
+    poisoned = small_images(2)
+    poisoned[:, 0, 0, 0] = np.nan
+    with pytest.raises(NumericError, match="step 0"):
+        vqvae.train_vqvae(poisoned, cfg)
+    assert getattr(nn._backprop, "job", None) is None
+    assert getattr(nn._backprop, "depth", 0) == 0
+    assert _trained_bytes(small_images(2), cfg) == fresh
 
 
 # ---------------------------------------------------------------------------
