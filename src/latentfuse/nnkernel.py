@@ -32,6 +32,11 @@ Conventions, pinned for cross-run reproducibility:
   time steps, a training conv's image ranges) on every idle CPU: the
   calling thread and the workers of one persistent pool each take items
   until none are left (docs/design.md, "Parallelism").
+- conv2d unfolds its input into GEMM columns in one of two orders, picked
+  from the layer's shape alone: channel-major, or channels-last when the
+  layer has no more output pixels per image than input channels
+  (ho * wo <= c; docs/design.md, "Column order"). conv_transpose2d is
+  always channel-major.
 - A training conv's forward runs one contiguous image range per runner,
   and its backward hands the weight-gradient GEMM to a pool worker while
   the caller goes on down the input-gradient chain. At most one such GEMM
@@ -261,10 +266,6 @@ def param_specs(desc: LayerDescriptor) -> list[tuple[str, tuple[int, ...], int]]
                 specs.append((f"{prefix}.{suffix}", shape, fan))
         return specs
     return []
-
-
-def param_names(desc: LayerDescriptor) -> list[str]:
-    return [f"{desc.name}.{suffix}" for suffix, _, _ in param_specs(desc)]
 
 
 def param_count(desc: LayerDescriptor) -> int:
@@ -590,61 +591,57 @@ def _settle_weight_grad(keep: bool = True) -> None:
     if job is None:
         return
     _backprop.job = None
-    store, name, out, done = job
+    store, name, grad, done = job
     if keep:
         done.result()
-        store.accumulate(name, out.reshape(store.values[name].shape))
+        store.accumulate(name, grad)
     else:
         done.exception()  # waits; the error being raised is the caller's
 
 
 def _add_weight_grad(store: ParamStore, name: str, grad_rows: np.ndarray,
-                     cols: np.ndarray, *, overlap: bool) -> None:
+                     cols: np.ndarray, *, overlap: bool, last: bool = False) -> None:
     """Accumulate the `_weight_grad_operands` GEMM into parameter `name`.
 
+    The GEMM's rows are the weight's in `_weight_rows` order: channels-last
+    with `last`, else the weight's own.
     With overlap, a second runner and no map running on this thread, the
     GEMM goes to a pool worker, into an array allocated here, and this
     thread goes on. The GEMM before it is added first, so at most one is
     in flight, and each parameter's gradients are added in call order.
     """
     gm, rows = _weight_grad_operands(grad_rows, cols)
+    shape = store.values[name].shape
     runners = _free_runners()
     if not overlap or runners < 2:
-        store.accumulate(name, np.dot(gm, rows).reshape(store.values[name].shape))
+        store.accumulate(name, _rows_to_weight(np.dot(gm, rows), shape, last))
         return
     out = np.empty((gm.shape[0], rows.shape[1]), np.result_type(gm, rows))
     _settle_weight_grad()
     with _pool_lock:
         done = _ensure_pool(runners - 1).submit(np.dot, gm, rows, out=out)
-    _backprop.job = (store, name, out, done)
+    _backprop.job = (store, name, _rows_to_weight(out, shape, last), done)
 
 
-def _conv2d_ranges(x: np.ndarray, wm: np.ndarray, k: int, s: int, p: int,
-                   ranges: list[range]) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """np.matmul(wm, cols) and the cols of `_im2col(x, k, s, p)`, one image
-    range per runner of the map.
+def _conv2d_ranges(x: np.ndarray, wm: np.ndarray, k: int, s: int, p: int, last: bool,
+                   ranges: list[range]) -> tuple[np.ndarray, np.ndarray]:
+    """np.matmul(wm, cols) and the cols of `_im2col(x, k, s, p, last=last)`,
+    one image range per runner of the map.
 
-    The padded input, the (c*k*k, n, ho*wo) column store and the output
-    are allocated here, for the whole batch; each runner pads, unfolds and
-    multiplies its own images, with the per-image GEMMs of the one call.
+    The padded input, the column store and the output are allocated here,
+    for the whole batch; each runner pads, unfolds and multiplies its own
+    images, with the per-image GEMMs of the one call.
     """
-    n, c, h, w = x.shape
-    ho = (h + 2 * p - k) // s + 1
-    wo = (w + 2 * p - k) // s + 1
-    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-    store = np.empty((c * k * k, n, ho * wo), dtype=x.dtype)
-    patches = store.reshape(c, k, k, n, ho, wo)
-    cols = store.transpose(1, 0, 2)
-    out = np.empty((n, wm.shape[0], ho * wo), dtype=np.result_type(wm, x))
+    xp, patches, cols, ho, wo = _unfold_buffers(x.shape, k, s, p, last, x.dtype)
+    out = np.empty((x.shape[0], wm.shape[0], ho * wo), dtype=np.result_type(wm, x))
 
     def run(r: range) -> None:
         part = slice(r.start, r.stop)
-        xp[part, :, p:p + h, p:p + w] = x[part]
-        patches[:, :, :, part] = _windows(xp[part], k, s, ho, wo)
+        _unfold(x, xp, patches, k, s, p, last, part)
         np.matmul(wm, cols[part], out=out[part])
 
     map_windows(run, ranges)
-    return out, cols, ho, wo
+    return out, cols
 
 
 def _conv_transpose2d_ranges(xf: np.ndarray, wm: np.ndarray, shape: tuple[int, ...],
@@ -685,36 +682,99 @@ def sigmoid_fn(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _windows(xp: np.ndarray, k: int, s: int, ho: int, wo: int) -> np.ndarray:
-    """The (c, k, k, n, ho, wo) patch view of a padded (n, c, H, W) batch."""
+def _windows(xp: np.ndarray, k: int, s: int, ho: int, wo: int, last: bool) -> np.ndarray:
+    """The patch view of a padded batch: (c, k, k, n, ho, wo) of an
+    (n, c, H, W) one, or with `last`, (n, ho, wo, k, k, c) of an
+    (n, H, W, c) one."""
+    if last:
+        n, c = xp.shape[0], xp.shape[3]
+        sn, sh, sw, sc = xp.strides
+        return as_strided(xp, (n, ho, wo, k, k, c), (sn, sh * s, sw * s, sh, sw, sc))
     n, c = xp.shape[:2]
     sn, sc, sh, sw = xp.strides
     return as_strided(xp, (c, k, k, n, ho, wo), (sc, sh, sw, sn, sh * s, sw * s))
 
 
-def _im2col(x: np.ndarray, k: int, s: int, p: int, arena: Arena | None = None
-            ) -> tuple[np.ndarray, int, int]:
-    """Patch columns of shape (n, c*k*k, ho*wo), stored image-interleaved.
+def _unfold_buffers(shape: tuple[int, ...], k: int, s: int, p: int, last: bool,
+                    dtype, arena: Arena | None = None):
+    """(xp, patches, cols, ho, wo) for unfolding an (n, c, h, w) batch.
 
-    The memory order is (c*k*k, n, ho*wo): each image's (c*k*k, ho*wo) matrix
-    is a strided view that BLAS takes as is, and all images' columns side by
-    side are a (c*k*k, n*ho*wo) view, which `_weight_grad_operands` hands to
-    one GEMM.
-    With an arena, the padded input and the columns are arena blocks.
+    xp is the zeroed padded input, (n, c, H, W), or (n, H, W, c) with
+    `last`. cols is the logical (n, rows, P) column array and patches the
+    same memory in `_windows`' shape. Channel-major, row (ch*k + i)*k + j
+    is stored image-interleaved as (c*k*k, n, P): each image's (c*k*k, P)
+    matrix is a strided view that BLAS takes as is, and all images'
+    columns side by side are a (c*k*k, n*P) view. Channels-last, row
+    (i*k + j)*c + ch is stored as (n, P, k*k*c), so each patch is k runs
+    of k*c contiguous floats, and all images' columns are a free
+    (n*P, k*k*c) matrix. Either way `_weight_grad_operands` hands all
+    images to one GEMM. With an arena, xp and the columns are arena blocks.
     """
-    n, c, h, w = x.shape
-    padded = (n, c, h + 2 * p, w + 2 * p)
-    xp = np.zeros(padded, dtype=x.dtype) if arena is None else arena.zeros(padded, x.dtype)
-    xp[:, :, p:p + h, p:p + w] = x
+    n, c, h, w = shape
     ho = (h + 2 * p - k) // s + 1
     wo = (w + 2 * p - k) // s + 1
-    windows = _windows(xp, k, s, ho, wo)
-    if arena is None:
-        cols = windows.reshape(c * k * k, n, ho * wo)
+    zeros = np.zeros if arena is None else arena.zeros
+    empty = np.empty if arena is None else arena.take
+    if last:
+        xp = zeros((n, h + 2 * p, w + 2 * p, c), dtype)
+        store = empty((n, ho * wo, k * k * c), dtype)
+        return xp, store.reshape(n, ho, wo, k, k, c), store.transpose(0, 2, 1), ho, wo
+    xp = zeros((n, c, h + 2 * p, w + 2 * p), dtype)
+    store = empty((c * k * k, n, ho * wo), dtype)
+    return xp, store.reshape(c, k, k, n, ho, wo), store.transpose(1, 0, 2), ho, wo
+
+
+def _unfold(x: np.ndarray, xp: np.ndarray, patches: np.ndarray, k: int, s: int, p: int,
+            last: bool, part: slice = slice(None)) -> None:
+    """Pad images x[part] into xp and copy their patches into their columns."""
+    h, w = x.shape[2:]
+    if last:
+        ho, wo = patches.shape[1:3]
+        xp[part, p:p + h, p:p + w] = x[part].transpose(0, 2, 3, 1)
+        patches[part] = _windows(xp[part], k, s, ho, wo, last)
     else:
-        cols = arena.take((c * k * k, n, ho * wo), x.dtype)
-        cols.reshape(windows.shape)[...] = windows
-    return cols.transpose(1, 0, 2), ho, wo
+        ho, wo = patches.shape[4:]
+        xp[part, :, p:p + h, p:p + w] = x[part]
+        patches[:, :, :, part] = _windows(xp[part], k, s, ho, wo, last)
+
+
+def _im2col(x: np.ndarray, k: int, s: int, p: int, arena: Arena | None = None,
+            last: bool = False) -> np.ndarray:
+    """Patch columns of shape (n, rows, ho*wo), in `_unfold_buffers`' order.
+
+    With an arena, the padded input and the columns are arena blocks.
+    """
+    xp, patches, cols, _, _ = _unfold_buffers(x.shape, k, s, p, last, x.dtype, arena)
+    _unfold(x, xp, patches, k, s, p, last)
+    return cols
+
+
+def _channels_last(c: int, ho: int, wo: int) -> bool:
+    """Whether a conv2d unfolds channels-last: when it has no more output
+    pixels per image than input channels, so that a channels-last patch
+    row is a few long runs where a channel-major one is many short ones."""
+    return ho * wo <= c
+
+
+def _weight_rows(w: np.ndarray, last: bool, arena: Arena | None = None) -> np.ndarray:
+    """A conv2d weight (O, c, k, k) as the (O, rows) GEMM operand of its
+    column order: a view channel-major, a copy (an arena block, with an
+    arena) channels-last."""
+    if not last:
+        return w.reshape(w.shape[0], -1)
+    o, c, k, _ = w.shape
+    empty = np.empty if arena is None else arena.take
+    rows = empty((o, k * k * c), w.dtype)
+    rows.reshape(o, k, k, c)[...] = w.transpose(0, 2, 3, 1)
+    return rows
+
+
+def _rows_to_weight(rows: np.ndarray, shape: tuple[int, ...], last: bool) -> np.ndarray:
+    """Inverse of `_weight_rows`: (O, rows) as a view of the weight's shape."""
+    if not last:
+        return rows.reshape(shape)
+    o, c, k, _ = shape
+    return rows.reshape(o, k, k, c).transpose(0, 3, 1, 2)
 
 
 def _weight_grad_operands(grad_rows: np.ndarray, cols: np.ndarray
@@ -722,9 +782,9 @@ def _weight_grad_operands(grad_rows: np.ndarray, cols: np.ndarray
     """(a, b) with np.dot(a, b) = sum over images i of grad_rows[i] @ cols[i].T,
     one GEMM.
 
-    grad_rows is (n, r, P) and cols an `_im2col` result, whose (rows, n*P)
-    matrix is a view. The operand shapes are those np.tensordot over axes
-    (0, 2) builds, minus its transposed copy of cols.
+    grad_rows is (n, r, P) and cols an `_im2col` result of either order,
+    whose (rows, n*P) matrix is a view. The operand shapes are those
+    np.tensordot over axes (0, 2) builds, minus its transposed copy of cols.
     """
     gm = grad_rows.transpose(1, 0, 2).reshape(grad_rows.shape[1], -1)
     rows = cols.transpose(1, 0, 2)
@@ -823,15 +883,17 @@ def forward(desc: LayerDescriptor, store: ParamStore, x, arena: Arena | None = N
         w = store.values[f"{desc.name}.w"]
         b = store.values[f"{desc.name}.b"]
         k, s, p = desc.kernel, desc.stride, desc.padding
-        wm = w.reshape(desc.out_channels, -1)
+        _, ho, wo = out_shape(desc, x.shape[1:])
+        last = _channels_last(desc.in_channels, ho, wo)
         if arena is None:
-            out, cols, ho, wo = _conv2d_ranges(x, wm, k, s, p, _batch_ranges(x.shape[0]))
+            wm = _weight_rows(w, last)
+            out, cols = _conv2d_ranges(x, wm, k, s, p, last, _batch_ranges(x.shape[0]))
             cache = (x.shape, cols, ho, wo)
         else:
-            _, ho, wo = out_shape(desc, x.shape[1:])
             out = arena.take((x.shape[0], desc.out_channels, ho * wo), np.result_type(w, x))
             mark = arena.mark()
-            np.matmul(wm, _im2col(x, k, s, p, arena)[0], out=out)
+            wm = _weight_rows(w, last, arena)
+            np.matmul(wm, _im2col(x, k, s, p, arena, last), out=out)
             arena.release(mark)
             cache = None
         out += b[:, None]
@@ -935,21 +997,23 @@ def _backward(desc: LayerDescriptor, store: ParamStore, cache, grad_out,
     if desc.kind == "conv2d":
         x_shape, cols, ho, wo = cache
         n = x_shape[0]
-        w = store.values[f"{desc.name}.w"]
+        k, s, p = desc.kernel, desc.stride, desc.padding
+        last = _channels_last(desc.in_channels, ho, wo)
         gm = grad_out.reshape(n, desc.out_channels, ho * wo)
-        _add_weight_grad(store, f"{desc.name}.w", gm, cols, overlap=need_grad_in)
+        _add_weight_grad(store, f"{desc.name}.w", gm, cols, overlap=need_grad_in, last=last)
         store.accumulate(f"{desc.name}.b", gm.sum(axis=(0, 2)))
         if not need_grad_in:
             return None
-        wm = w.reshape(desc.out_channels, -1)
-        gcols = np.matmul(wm.T, gm)
-        return _col2im(gcols, x_shape, desc.kernel, desc.stride, desc.padding, ho, wo)
+        # the input gradient reads only w and grad_out, not the columns,
+        # so it takes the channel-major path in either order
+        wm = store.values[f"{desc.name}.w"].reshape(desc.out_channels, -1)
+        return _col2im(np.matmul(wm.T, gm), x_shape, k, s, p, ho, wo)
 
     if desc.kind == "conv_transpose2d":
         xf, (h, wdt) = cache
         w = store.values[f"{desc.name}.w"]
         k, s, p = desc.kernel, desc.stride, desc.padding
-        gcols, _, _ = _im2col(grad_out, k, s, p)
+        gcols = _im2col(grad_out, k, s, p)
         _add_weight_grad(store, f"{desc.name}.w", xf, gcols, overlap=need_grad_in)
         store.accumulate(f"{desc.name}.b", grad_out.sum(axis=(0, 2, 3)))
         if not need_grad_in:

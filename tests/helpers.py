@@ -195,11 +195,13 @@ def render_by_formula(mag: np.ndarray, table: np.ndarray, size: int = 128) -> np
     return np.moveaxis(rgb, -1, 0).astype(np.float32)
 
 
-def im2col_by_loops(x: np.ndarray, k: int, s: int, p: int) -> tuple[np.ndarray, int, int]:
+def im2col_by_loops(x: np.ndarray, k: int, s: int, p: int,
+                    channels_last: bool = False) -> tuple[np.ndarray, int, int]:
     """Copy every k x k patch of the zero-padded input, one element at a time.
 
-    Row (ch*k + i)*k + j, column oy*wo + ox of image b holds
-    x[b, ch, oy*s + i - p, ox*s + j - p], or 0 where that falls in the padding.
+    Row (ch*k + i)*k + j, or (i*k + j)*c + ch with channels_last, column
+    oy*wo + ox of image b holds x[b, ch, oy*s + i - p, ox*s + j - p], or 0
+    where that falls in the padding.
     """
     n, c, h, w = x.shape
     ho = (h + 2 * p - k) // s + 1
@@ -209,7 +211,7 @@ def im2col_by_loops(x: np.ndarray, k: int, s: int, p: int) -> tuple[np.ndarray, 
         for ch in range(c):
             for i in range(k):
                 for j in range(k):
-                    row = (ch * k + i) * k + j
+                    row = (i * k + j) * c + ch if channels_last else (ch * k + i) * k + j
                     for oy in range(ho):
                         for ox in range(wo):
                             y, xx = oy * s + i - p, ox * s + j - p

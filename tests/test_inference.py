@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from latentfuse import baseline, synthetic, vqvae
+from latentfuse import baseline, fusion, synthetic, vqvae
 from latentfuse import nnkernel as nn
 from latentfuse.spectral import SpectralImage
 
@@ -14,15 +14,19 @@ from latentfuse.spectral import SpectralImage
 def _stacks():
     model = vqvae.build_model(32, 16, seed=0)
     base = baseline.build_encoder("ECG", 16, seed=1)
+    head = fusion.build_head(96, seed=2)  # M = 6: both convs unfold channels-last
     return {"encoder": (model.encoder, model.store),
             "decoder": (model.decoder, model.store),
-            "baseline": (base.features, base.store)}
+            "baseline": (base.features, base.store),
+            "head": (head.conv, head.store)}
 
 
 def _inputs(batch: int, seed: int) -> dict[str, np.ndarray]:
     images = synthetic.make_images(batch, seed=seed)
-    latents = np.random.default_rng(seed).standard_normal((batch, 16, 16, 16))
-    return {"encoder": images, "decoder": latents.astype(np.float32), "baseline": images}
+    rs = np.random.default_rng(seed)
+    latents = rs.standard_normal((batch, 16, 16, 16)).astype(np.float32)
+    fused = rs.standard_normal((batch, 96, 16, 16)).astype(np.float32)
+    return {"encoder": images, "decoder": latents, "baseline": images, "head": fused}
 
 
 def _in_fresh_thread(fn):
@@ -46,9 +50,10 @@ def _in_fresh_thread(fn):
 
 def test_stack_infer_is_stack_forward_bitwise_and_owns_its_results():
     stacks = _stacks()
-    # every stack at batch 1 and 8, interleaved across stacks and shapes
-    calls = [(name, batch, seed) for seed, batch in ((0, 1), (1, 8), (2, 1), (3, 8))
-             for name in stacks]
+    # every stack at batch 1 and 8 (the head at 1 and 16, its training
+    # batch), interleaved across stacks and shapes
+    calls = [(name, 2 * batch if name == "head" and batch > 1 else batch, seed)
+             for seed, batch in ((0, 1), (1, 8), (2, 1), (3, 8)) for name in stacks]
     results = []
     for name, batch, seed in calls:
         descs, store = stacks[name]

@@ -113,7 +113,7 @@ def test_param_counts():
 
 def test_param_registration_order_for_cell():
     cell = nn.recurrent_cell("g", 8, 4)
-    names = nn.param_names(cell)
+    names = [f"{cell.name}.{suffix}" for suffix, _, _ in nn.param_specs(cell)]
     assert names == ["g.wxu", "g.whu", "g.bu", "g.wxr", "g.whr", "g.br",
                      "g.wxc", "g.whc", "g.bc"]
 
@@ -173,11 +173,17 @@ def naive_conv(x, w, b, s, p):
 
 def test_conv_forward_matches_naive_loops():
     rs = np.random.default_rng(0)
-    for s, p in [(1, 0), (1, 1), (2, 1), (2, 0)]:
-        desc = nn.conv2d("c", 3, 4, 3, s=s, p=p)
+    # the last two have no more output pixels than input channels (9 and
+    # 16 for 16), so they unfold channels-last
+    for s, p, shape, last in [(1, 0, (2, 3, 7, 9), False), (1, 1, (2, 3, 7, 9), False),
+                              (2, 1, (2, 3, 7, 9), False), (2, 0, (2, 3, 7, 9), False),
+                              (2, 1, (2, 16, 6, 6), True), (1, 1, (2, 16, 4, 4), True)]:
+        desc = nn.conv2d("c", shape[1], 4, 3, s=s, p=p)
+        _, ho, wo = nn.out_shape(desc, shape[1:])
+        assert nn._channels_last(shape[1], ho, wo) == last
         store = nn.ParamStore()
         nn.init_params([desc], store, nn.seed_rng(1), dtype=np.float64)
-        x = rs.standard_normal((2, 3, 7, 9))
+        x = rs.standard_normal(shape)
         y, _ = nn.forward(desc, store, x)
         ref = naive_conv(x, store.values["c.w"], store.values["c.b"], s, p)
         assert np.allclose(y, ref, atol=1e-12)
@@ -285,6 +291,9 @@ def run_fd_check(desc, x_shape, seed, tol=1e-5):
 def test_conv_gradients():
     for seed in range(3):
         run_fd_check(nn.conv2d("c", 3, 4, 3, s=2, p=1), (2, 3, 9, 9), seed)
+        # channels-last: 9 output pixels for 16 channels, and 16 for 16
+        run_fd_check(nn.conv2d("c", 16, 4, 3, s=2, p=1), (2, 16, 6, 6), seed)
+        run_fd_check(nn.conv2d("c", 16, 4, 3, s=1, p=1), (2, 16, 4, 4), seed)
 
 
 def test_conv_transpose_gradients():
@@ -521,17 +530,19 @@ def test_bce_with_logits_stable_at_extreme_logits():
 
 
 # (kernel, stride, padding) of every conv the encoder, the decoder backward,
-# the baseline extractors and the head run through _im2col
+# the baseline extractors and the head run through _im2col; at c = 70 every
+# one has no more output pixels than channels, so it unfolds channels-last
 @pytest.mark.parametrize("k,s,p", [(4, 2, 1), (3, 1, 1), (3, 2, 1)])
-@pytest.mark.parametrize("n,c", [(1, 3), (8, 3), (8, 5)])
+@pytest.mark.parametrize("n,c", [(1, 3), (8, 3), (8, 5), (2, 70)])
 def test_im2col_matches_patch_loop_bitwise(k, s, p, n, c):
     rs = np.random.default_rng(k * 100 + s * 10 + n + c)
+    ho, wo = (10 + 2 * p - k) // s + 1, (7 + 2 * p - k) // s + 1
+    last = nn._channels_last(c, ho, wo)
     for dtype in (np.float32, np.float64):
         x = rs.normal(size=(n, c, 10, 7)).astype(dtype)
-        cols, ho, wo = nn._im2col(x, k, s, p)
-        want, want_ho, want_wo = im2col_by_loops(x, k, s, p)
-        assert (ho, wo) == (want_ho, want_wo)
-        assert cols.dtype == want.dtype
+        cols = nn._im2col(x, k, s, p, last=last)
+        want, _, _ = im2col_by_loops(x, k, s, p, channels_last=last)
+        assert cols.shape == want.shape and cols.dtype == want.dtype
         assert cols.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
