@@ -35,8 +35,11 @@ Conventions, pinned for cross-run reproducibility:
 - conv2d unfolds its input into GEMM columns in one of two orders, picked
   from the layer's shape alone: channel-major, or channels-last when the
   layer has no more output pixels per image than input channels
-  (ho * wo <= c; docs/design.md, "Column order"). conv_transpose2d is
-  always channel-major.
+  (ho * wo <= c; docs/design.md, "Column order").
+- conv_transpose2d's forward and conv2d's input gradient are one operator,
+  the conv's adjoint, run in sub-pixel form: a stride-1 conv of the
+  gradient whose output channels are the s*s output phases, interleaved
+  by depth-to-space (docs/design.md, "Sub-pixel adjoint").
 - A training conv's forward runs one contiguous image range per runner,
   and its backward hands the weight-gradient GEMM to a pool worker while
   the caller goes on down the input-gradient chain. At most one such GEMM
@@ -644,30 +647,6 @@ def _conv2d_ranges(x: np.ndarray, wm: np.ndarray, k: int, s: int, p: int, last: 
     return out, cols
 
 
-def _conv_transpose2d_ranges(xf: np.ndarray, wm: np.ndarray, shape: tuple[int, ...],
-                             k: int, s: int, p: int, h: int, w: int,
-                             ranges: list[range]) -> np.ndarray:
-    """_col2im(np.matmul(wm.T, xf), shape, k, s, p, h, w), one image range
-    per runner of the map. The columns and the output are allocated here,
-    for the whole batch; each runner's col2im scratch comes from its arena."""
-    dtype = np.result_type(wm, xf)
-    cols = np.empty((xf.shape[0], wm.shape[1], h * w), dtype=dtype)
-    out = np.empty(shape, dtype=dtype)
-
-    def run(r: range) -> None:
-        part = slice(r.start, r.stop)
-        np.matmul(wm.T, xf[part], out=cols[part])
-        arena = thread_arena()
-        mark = arena.mark()
-        try:
-            _col2im(cols[part], out[part].shape, k, s, p, h, w, out[part], arena)
-        finally:
-            arena.release(mark)
-
-    map_windows(run, ranges)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Elementwise helpers
 # ---------------------------------------------------------------------------
@@ -791,64 +770,78 @@ def _weight_grad_operands(grad_rows: np.ndarray, cols: np.ndarray
     return gm, rows.reshape(rows.shape[0], -1).T
 
 
-def _col2im(cols: np.ndarray, x_shape: tuple[int, ...], k: int, s: int, p: int,
-            ho: int, wo: int, out: np.ndarray | None = None,
-            arena: Arena | None = None) -> np.ndarray:
-    """Adjoint of `_im2col`: add every column entry back onto its pixel.
+def _phase_weight(w: np.ndarray, s: int, arena: Arena | None = None) -> np.ndarray:
+    """The stride-1 conv weight (s*s*B, A, q, q), q = ceil(k/s), of the
+    sub-pixel form of the adjoint of a stride-s conv2d with weight (A, B, k, k).
 
-    Each pixel sums its taps onto +0.0 in (i, j) order, so the result is
-    bitwise that of adding one strided (ho, wo) tap plane at a time into a
-    zeroed padded image. Padded pixel (Y*s + py, X*s + px) lives in phase
-    grid (py, px) at (Y, X), where tap (i, j) of phase (i % s, j % s) is its
-    plane shifted by (i // s, j // s). Grid rows are stored wo wide, so a
-    tap is one long add per plane; the entries that pass column wo wrap into
-    the first q - 1 columns of the next row, and those columns, with the
-    ones from wo on, are summed apart column by column. With an arena, the
-    grids are arena blocks, and `out` receives the result.
+    Output channel (ry*s + rx)*B + b is phase (ry, rx) of channel b. Its tap
+    (ty, tx) is kernel tap (ry + s*(q-1-ty), rx + s*(q-1-tx)), and 0 where
+    that falls past the kernel. With an arena, an arena block.
     """
-    n, c, h, w = x_shape
-    dtype = cols.dtype
-    q = -(-k // s)  # most taps per axis in one phase
-    hq = max(ho + q - 1, (h + p - 1) // s + 1)
-    wq = max(wo + q - 1, (w + p - 1) // s + 1)
-    edge_x = [x for x in range(wq) if x < q - 1 or x >= wo]
-    taps = cols.reshape(n * c, k, k, ho, wo)
+    a, b, k, _ = w.shape
+    q = -(-k // s)
     zeros = np.zeros if arena is None else arena.zeros
-    grid = zeros((s, s, n * c, hq * wo), dtype)
-    edge = zeros((s, s, n * c, hq, len(edge_x)), dtype)
-    # phase by phase, so one phase grid stays in cache across its taps
-    for py, px in product(range(s), repeat=2):
-        for i in range(py, k, s):
-            for j in range(px, k, s):
-                dy, dx = i // s, j // s
-                off = dy * wo + dx
-                span = min(ho * wo, hq * wo - off)
-                grid[py, px, :, off:off + span] += \
-                    taps[:, i, j].reshape(n * c, ho * wo)[:, :span]
-                for e, x in enumerate(edge_x):
-                    if 0 <= x - dx < wo:
-                        edge[py, px, :, dy:dy + ho, e] += taps[:, i, j, :, x - dx]
-    grid = grid.reshape(s, s, n, c, hq, wo)
-    edge = edge.reshape(s, s, n, c, hq, len(edge_x))
-    for e, x in enumerate(edge_x):
-        if x < wo:
-            grid[..., x] = edge[..., e]
-    if out is None:
-        out = np.empty(x_shape, dtype=dtype)
-    for py in range(s):
-        y0 = (py - p) % s
-        gy = (y0 + p) // s
-        rows = slice(gy, gy + len(range(y0, h, s)))
-        for px in range(s):
-            x0 = (px - p) % s
-            gx = (x0 + p) // s
-            width = len(range(x0, w, s))
-            inner = max(0, min(width, wo - gx))
-            dst = out[:, :, y0::s, x0::s]
-            dst[..., :inner] = grid[py, px, :, :, rows, gx:gx + inner]
-            if inner < width:
-                e = edge_x.index(gx + inner)
-                dst[..., inner:] = edge[py, px, :, :, rows, e:e + width - inner]
+    wp = zeros((s, s, b, a, q, q), w.dtype)
+    for ry, rx in product(range(s), repeat=2):
+        taps = w[:, :, ry::s, rx::s]
+        my, mx = taps.shape[2:]
+        wp[ry, rx, :, :, q - my:, q - mx:] = taps[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    return wp.reshape(s * s * b, a, q, q)
+
+
+def _depth_to_space(phases: np.ndarray, s: int, p: int, out: np.ndarray) -> None:
+    """Interleave the (n, s, s, B, Ha, Wa) phase grids into out (n, B, h, w).
+
+    Pixel y of out is padded row y + p = s*a + ry: row a of phase ry. The
+    pixels whose row or column lies past the grid are reached by no tap and
+    read 0.
+    """
+    ha, wa = phases.shape[4:]
+    h, w = out.shape[2:]
+    for ry, rx in product(range(s), repeat=2):
+        y0, x0 = (ry - p) % s, (rx - p) % s
+        a0, b0 = (y0 + p) // s, (x0 + p) // s
+        rows = max(0, min(len(range(y0, h, s)), ha - a0))
+        cols = max(0, min(len(range(x0, w, s)), wa - b0))
+        dst = out[:, :, y0::s, x0::s]
+        dst[:, :, :rows, :cols] = phases[:, ry, rx, :, a0:a0 + rows, b0:b0 + cols]
+        dst[:, :, rows:] = 0
+        dst[:, :, :rows, cols:] = 0
+
+
+def _conv_adjoint(g: np.ndarray, w: np.ndarray, s: int, p: int, out: np.ndarray,
+                  ranges: list[range], arena: Arena | None = None) -> np.ndarray:
+    """The adjoint of a stride-s, padding-p conv2d with weight w (A, B, k, k),
+    applied to g (n, A, ho, wo), into out (n, B, h, w): conv_transpose2d's
+    forward and conv2d's input gradient.
+
+    Sub-pixel form: a stride-1 conv of g with kernel q = ceil(k/s), padding
+    q - 1 and the `_phase_weight`, whose s*s*B output channels are the
+    phases of out, interleaved by `_depth_to_space`. As in `_conv2d_ranges`,
+    the buffers are allocated here for the whole batch (as blocks of
+    `arena`, with one) and each runner of the map unfolds, multiplies and
+    interleaves one image range.
+    """
+    n, a, ho, wo = g.shape
+    q = -(-w.shape[2] // s)
+    ha, wa = ho + q - 1, wo + q - 1
+    last = _channels_last(a, ha, wa)
+    empty = np.empty if arena is None else arena.take
+    mark = None if arena is None else arena.mark()
+    wm = _weight_rows(_phase_weight(w, s, arena), last, arena)
+    xp, patches, cols, _, _ = _unfold_buffers(g.shape, q, 1, q - 1, last, g.dtype, arena)
+    phases = empty((n, wm.shape[0], ha * wa), np.result_type(wm, g))
+    grids = phases.reshape(n, s, s, w.shape[1], ha, wa)
+
+    def run(r: range) -> None:
+        part = slice(r.start, r.stop)
+        _unfold(g, xp, patches, q, 1, q - 1, last, part)
+        np.matmul(wm, cols[part], out=phases[part])
+        _depth_to_space(grids[part], s, p, out[part])
+
+    map_windows(run, ranges)
+    if arena is not None:
+        arena.release(mark)
     return out
 
 
@@ -904,23 +897,16 @@ def forward(desc: LayerDescriptor, store: ParamStore, x, arena: Arena | None = N
         _check_image_input(desc, x)
         w = store.values[f"{desc.name}.w"]
         b = store.values[f"{desc.name}.b"]
-        n, _, h, wdt = x.shape
-        k, s, p = desc.kernel, desc.stride, desc.padding
-        xf = x.reshape(n, desc.in_channels, h * wdt)
-        wm = w.reshape(desc.in_channels, -1)
-        ho = (h - 1) * s - 2 * p + k
-        wo = (wdt - 1) * s - 2 * p + k
-        shape = (n, desc.out_channels, ho, wo)
+        n = x.shape[0]
+        shape = (n,) + out_shape(desc, x.shape[1:])
+        dtype = np.result_type(w, x)
         if arena is None:
-            out = _conv_transpose2d_ranges(xf, wm, shape, k, s, p, h, wdt, _batch_ranges(n))
-            cache = (xf, (h, wdt))
+            out = _conv_adjoint(x, w, desc.stride, desc.padding, np.empty(shape, dtype),
+                                _batch_ranges(n))
+            cache = (x.reshape(n, desc.in_channels, -1), x.shape[2:])
         else:
-            dtype = np.result_type(w, x)
-            out = arena.take(shape, dtype)
-            mark = arena.mark()
-            cols = np.matmul(wm.T, xf, out=arena.take((n, wm.shape[1], h * wdt), dtype))
-            _col2im(cols, shape, k, s, p, h, wdt, out, arena)
-            arena.release(mark)
+            out = _conv_adjoint(x, w, desc.stride, desc.padding, arena.take(shape, dtype),
+                                [range(n)], arena)
             cache = None
         out += b[None, :, None, None]
         return out, cache
@@ -997,17 +983,19 @@ def _backward(desc: LayerDescriptor, store: ParamStore, cache, grad_out,
     if desc.kind == "conv2d":
         x_shape, cols, ho, wo = cache
         n = x_shape[0]
-        k, s, p = desc.kernel, desc.stride, desc.padding
+        s, p = desc.stride, desc.padding
         last = _channels_last(desc.in_channels, ho, wo)
         gm = grad_out.reshape(n, desc.out_channels, ho * wo)
         _add_weight_grad(store, f"{desc.name}.w", gm, cols, overlap=need_grad_in, last=last)
         store.accumulate(f"{desc.name}.b", gm.sum(axis=(0, 2)))
         if not need_grad_in:
             return None
-        # the input gradient reads only w and grad_out, not the columns,
-        # so it takes the channel-major path in either order
-        wm = store.values[f"{desc.name}.w"].reshape(desc.out_channels, -1)
-        return _col2im(np.matmul(wm.T, gm), x_shape, k, s, p, ho, wo)
+        # the input gradient reads only w and grad_out, not the columns; it
+        # stays on this thread while the weight-gradient GEMM runs on a worker
+        w = store.values[f"{desc.name}.w"]
+        gx = np.empty(x_shape, np.result_type(w, gm))
+        return _conv_adjoint(gm.reshape(n, desc.out_channels, ho, wo), w, s, p, gx,
+                             [range(n)])
 
     if desc.kind == "conv_transpose2d":
         xf, (h, wdt) = cache

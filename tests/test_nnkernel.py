@@ -1,5 +1,7 @@
 """Tests for the numpy layer kernel: RNG, shapes, gradients, optimizer."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -546,17 +548,112 @@ def test_im2col_matches_patch_loop_bitwise(k, s, p, n, c):
         assert cols.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
+def conv_pair(a: int, b: int, k: int, s: int, p: int, w: np.ndarray
+              ) -> tuple[nn.LayerDescriptor, nn.LayerDescriptor, nn.ParamStore]:
+    """A conv2d b -> a and the conv_transpose2d a -> b that share weight w
+    (a, b, k, k), with zero biases."""
+    conv = nn.conv2d("c", b, a, k, s, p)
+    tconv = nn.conv_transpose2d("t", a, b, k, s, p)
+    store = nn.ParamStore()
+    store.add("c.w", w)
+    store.add("c.b", np.zeros(a, w.dtype))
+    store.add("t.w", w)
+    store.add("t.b", np.zeros(b, w.dtype))
+    return conv, tconv, store
+
+
+# conv2d's input gradient and conv_transpose2d's forward are one operator,
+# the adjoint of the conv: col2im(W.T @ g). It sums each pixel's taps in
+# another order than the scatter loop, so the match is to a tolerance set
+# from the dtype, in the training forward and backward and in the arena pass
 @pytest.mark.parametrize("k,s,p", [(4, 2, 1), (3, 1, 1), (3, 2, 1)])
 @pytest.mark.parametrize("n,c", [(1, 3), (8, 3), (8, 5)])
-def test_col2im_matches_loop_bitwise(k, s, p, n, c):
+def test_conv_adjoint_matches_scatter_loop(k, s, p, n, c):
     rs = np.random.default_rng(k * 100 + s * 10 + n + c)
     shape = (n, c, 10, 7)
     ho, wo = (10 + 2 * p - k) // s + 1, (7 + 2 * p - k) // s + 1
-    for dtype in (np.float32, np.float64):
-        cols = rs.normal(size=(n, c * k * k, ho * wo)).astype(dtype)
-        # the last channel's taps are all -0.0, so its pixels must read +0.0
-        cols[:, -k * k:] = -0.0
-        got = nn._col2im(cols, shape, k, s, p, ho, wo)
-        want = col2im_by_loops(cols, shape, k, s, p)
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+    for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-12)):
+        w = rs.normal(size=(4, c, k, k)).astype(dtype)
+        g = rs.normal(size=(n, 4, ho, wo)).astype(dtype)
+        cols = w.reshape(4, -1).T.astype(np.float64) @ g.reshape(n, 4, -1).astype(np.float64)
+        conv, tconv, store = conv_pair(4, c, k, s, p, w)
+        _, cache = nn.forward(conv, store, rs.normal(size=shape).astype(dtype))
+        # conv_transpose2d's output drops the rows and columns past the last
+        # stride step, which no tap of the conv reads
+        tshape = (n, c, (ho - 1) * s - 2 * p + k, (wo - 1) * s - 2 * p + k)
+        for name, gx, want_shape in [
+                ("conv2d input gradient", nn.backward(conv, store, cache, g), shape),
+                ("conv_transpose2d forward", nn.forward(tconv, store, g)[0], tshape),
+                ("conv_transpose2d arena forward", nn.stack_infer([tconv], store, g), tshape)]:
+            assert gx.shape == want_shape and gx.dtype == dtype, name
+            want = col2im_by_loops(cols, want_shape, k, s, p)
+            assert np.allclose(gx, want, atol=tol, rtol=tol), name
+
+
+def test_conv_adjoint_grid_matches_scatter_loop():
+    """Every (k, s, p) with k <= 5, s <= 3 and p < k on images of 1 to 8
+    pixels a side, in float64: pixels that no tap reaches, taps that fall in
+    the padding, kernels shorter than the stride. conv_transpose2d refuses
+    an output size below 1 as out_shape does."""
+    rs = np.random.default_rng(17)
+    sizes = (1, 3, 5, 6, 7, 8)
+    checked = refused = 0
+    for k, s in product(range(1, 6), range(1, 4)):
+        for p, h, wd in product(range(k), sizes, sizes):
+            conv, tconv, store = conv_pair(4, 2, k, s, p, rs.normal(size=(4, 2, k, k)))
+            try:
+                _, ho, wo = nn.out_shape(conv, (2, h, wd))
+            except UsageError:
+                continue
+            g = rs.normal(size=(1, 4, ho, wo))
+            cols = store.values["c.w"].reshape(4, -1).T @ g.reshape(1, 4, -1)
+            _, cache = nn.forward(conv, store, rs.normal(size=(1, 2, h, wd)))
+            gx = nn.backward(conv, store, cache, g)
+            assert np.allclose(gx, col2im_by_loops(cols, (1, 2, h, wd), k, s, p),
+                               atol=1e-12, rtol=0), (k, s, p, h, wd)
+            th, tw = (ho - 1) * s - 2 * p + k, (wo - 1) * s - 2 * p + k
+            if th < 1 or tw < 1:
+                for run in (lambda: nn.forward(tconv, store, g),
+                            lambda: nn.stack_infer([tconv], store, g)):
+                    with pytest.raises(UsageError, match="degenerate output"):
+                        run()
+                refused += 1
+                continue
+            y, _ = nn.forward(tconv, store, g)
+            assert np.allclose(y, col2im_by_loops(cols, (1, 2, th, tw), k, s, p),
+                               atol=1e-12, rtol=0), (k, s, p, h, wd)
+            checked += 1
+    assert (checked, refused) == (1280, 88)
+
+
+def naive_conv_transpose(x: np.ndarray, w: np.ndarray, b: np.ndarray, s: int, p: int
+                         ) -> np.ndarray:
+    """Scatter every input pixel times every kernel tap onto its output
+    pixel, dropping those that land in the cropped border."""
+    n, cin, h, wid = x.shape
+    _, cout, k, _ = w.shape
+    ho, wo = (h - 1) * s - 2 * p + k, (wid - 1) * s - 2 * p + k
+    out = np.zeros((n, cout, ho, wo)) + b[:, None, None]
+    for bi, ci, co, i, j, ki, kj in product(range(n), range(cin), range(cout), range(h),
+                                            range(wid), range(k), range(k)):
+        y, xx = i * s + ki - p, j * s + kj - p
+        if 0 <= y < ho and 0 <= xx < wo:
+            out[bi, co, y, xx] += x[bi, ci, i, j] * w[ci, co, ki, kj]
+    return out
+
+
+def test_conv_transpose_forward_matches_naive_scatter():
+    rs = np.random.default_rng(11)
+    # the decoder's k4 s2 p1, a kernel the stride does not divide, a kernel
+    # shorter than the stride, and a padding wider than the stride
+    for k, s, p, shape in [(4, 2, 1, (2, 3, 5, 4)), (3, 2, 1, (2, 3, 4, 5)),
+                           (2, 3, 0, (1, 2, 3, 3)), (5, 2, 3, (2, 2, 4, 6))]:
+        desc = nn.conv_transpose2d("t", shape[1], 3, k, s, p)
+        store = nn.ParamStore()
+        nn.init_params([desc], store, nn.seed_rng(5), dtype=np.float64)
+        store.values["t.b"][:] = rs.standard_normal(3)
+        x = rs.standard_normal(shape)
+        ref = naive_conv_transpose(x, store.values["t.w"], store.values["t.b"], s, p)
+        y, _ = nn.forward(desc, store, x)
+        assert y.shape == ref.shape and np.allclose(y, ref, atol=1e-12)
+        assert np.allclose(nn.stack_infer([desc], store, x), ref, atol=1e-12)
