@@ -41,10 +41,10 @@ Conventions, pinned for cross-run reproducibility:
   gradient whose output channels are the s*s output phases, interleaved
   by depth-to-space (docs/design.md, "Sub-pixel adjoint").
 - A training conv's forward runs one contiguous image range per runner,
-  and its backward hands the weight-gradient GEMM to a pool worker while
-  the caller goes on down the input-gradient chain. At most one such GEMM
-  is in flight, and each is added into the store before the outermost
-  backward or stack_backward returns. Both are bitwise the serial call.
+  and its backward runs the weight-gradient GEMM on a pool worker while
+  the calling thread computes the input gradient. The weight gradient is
+  in the store when that conv's backward returns, or raises. Both are
+  bitwise the serial call.
 """
 
 from __future__ import annotations
@@ -567,63 +567,31 @@ def _batch_ranges(n: int) -> list[range]:
     return [range(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
 
 
-_backprop = threading.local()  # .depth: open backward calls; .job: the GEMM in flight
-
-
-class _BackwardScope:
-    """One backward or stack_backward call on this thread. When the
-    outermost one ends, the weight-gradient GEMM still in flight is added
-    into its store, or, if the call raised, waited for and dropped."""
-
-    __slots__ = ("depth",)
-
-    def __enter__(self) -> None:
-        self.depth = getattr(_backprop, "depth", 0)
-        _backprop.depth = self.depth + 1
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        _backprop.depth = self.depth
-        if self.depth == 0:
-            _settle_weight_grad(keep=exc_type is None)
-
-
-def _settle_weight_grad(keep: bool = True) -> None:
-    """Wait for this thread's weight-gradient GEMM in flight, if any, then
-    add it into its store (keep) or drop it."""
-    job = getattr(_backprop, "job", None)
-    if job is None:
-        return
-    _backprop.job = None
-    store, name, grad, done = job
-    if keep:
-        done.result()
-        store.accumulate(name, grad)
-    else:
-        done.exception()  # waits; the error being raised is the caller's
-
-
 def _add_weight_grad(store: ParamStore, name: str, grad_rows: np.ndarray,
-                     cols: np.ndarray, *, overlap: bool, last: bool = False) -> None:
-    """Accumulate the `_weight_grad_operands` GEMM into parameter `name`.
+                     cols: np.ndarray, last: bool,
+                     grad_in: Callable[[], np.ndarray] | None = None) -> np.ndarray | None:
+    """Accumulate the `_weight_grad_operands` GEMM into parameter `name` and
+    return grad_in(), or None without it.
 
     The GEMM's rows are the weight's in `_weight_rows` order: channels-last
     with `last`, else the weight's own.
-    With overlap, a second runner and no map running on this thread, the
-    GEMM goes to a pool worker, into an array allocated here, and this
-    thread goes on. The GEMM before it is added first, so at most one is
-    in flight, and each parameter's gradients are added in call order.
+    With grad_in, a second runner and no map running on this thread, the
+    GEMM goes to a pool worker, into an array allocated here, while this
+    thread runs grad_in. The gradient is added after both end, even when
+    grad_in raises, so the store holds what one runner leaves.
     """
     gm, rows = _weight_grad_operands(grad_rows, cols)
     shape = store.values[name].shape
-    runners = _free_runners()
-    if not overlap or runners < 2:
+    if grad_in is None or _free_runners() < 2:
         store.accumulate(name, _rows_to_weight(np.dot(gm, rows), shape, last))
-        return
+        return None if grad_in is None else grad_in()
     out = np.empty((gm.shape[0], rows.shape[1]), np.result_type(gm, rows))
-    _settle_weight_grad()
-    with _pool_lock:
-        done = _ensure_pool(runners - 1).submit(np.dot, gm, rows, out=out)
-    _backprop.job = (store, name, _rows_to_weight(out, shape, last), done)
+    (done,) = _submit(1, lambda: np.dot(gm, rows, out=out))
+    try:
+        return grad_in()
+    finally:
+        done.result()
+        store.accumulate(name, _rows_to_weight(out, shape, last))
 
 
 def _conv2d_ranges(x: np.ndarray, wm: np.ndarray, k: int, s: int, p: int, last: bool,
@@ -967,17 +935,7 @@ def backward(desc: LayerDescriptor, store: ParamStore, cache, grad_out, *,
     For recurrent_cell, grad_out is dL/dh' and the return value is the pair
     (dL/dx, dL/dh). With need_grad_in False only the parameter grads are
     accumulated (bitwise as with True) and None is returned.
-
-    A conv's weight gradient may still be in flight when a backward called
-    from inside another backward or stack_backward returns
-    (`_add_weight_grad`); the outermost call adds it before it returns.
     """
-    with _BackwardScope():
-        return _backward(desc, store, cache, grad_out, need_grad_in)
-
-
-def _backward(desc: LayerDescriptor, store: ParamStore, cache, grad_out,
-              need_grad_in: bool):
     if not need_grad_in and not param_specs(desc):
         return None
     if desc.kind == "conv2d":
@@ -986,29 +944,31 @@ def _backward(desc: LayerDescriptor, store: ParamStore, cache, grad_out,
         s, p = desc.stride, desc.padding
         last = _channels_last(desc.in_channels, ho, wo)
         gm = grad_out.reshape(n, desc.out_channels, ho * wo)
-        _add_weight_grad(store, f"{desc.name}.w", gm, cols, overlap=need_grad_in, last=last)
         store.accumulate(f"{desc.name}.b", gm.sum(axis=(0, 2)))
-        if not need_grad_in:
-            return None
-        # the input gradient reads only w and grad_out, not the columns; it
-        # stays on this thread while the weight-gradient GEMM runs on a worker
         w = store.values[f"{desc.name}.w"]
-        gx = np.empty(x_shape, np.result_type(w, gm))
-        return _conv_adjoint(gm.reshape(n, desc.out_channels, ho, wo), w, s, p, gx,
-                             [range(n)])
+
+        def grad_in() -> np.ndarray:
+            # runs beside the weight-gradient GEMM: reads w and grad_out, not cols
+            gx = np.empty(x_shape, np.result_type(w, gm))
+            return _conv_adjoint(gm.reshape(n, desc.out_channels, ho, wo), w, s, p, gx,
+                                 [range(n)])
+
+        return _add_weight_grad(store, f"{desc.name}.w", gm, cols, last,
+                                grad_in if need_grad_in else None)
 
     if desc.kind == "conv_transpose2d":
         xf, (h, wdt) = cache
         w = store.values[f"{desc.name}.w"]
         k, s, p = desc.kernel, desc.stride, desc.padding
         gcols = _im2col(grad_out, k, s, p)
-        _add_weight_grad(store, f"{desc.name}.w", xf, gcols, overlap=need_grad_in)
         store.accumulate(f"{desc.name}.b", grad_out.sum(axis=(0, 2, 3)))
-        if not need_grad_in:
-            return None
-        wm = w.reshape(desc.in_channels, -1)
-        gx = np.matmul(wm, gcols)
-        return gx.reshape(xf.shape[0], desc.in_channels, h, wdt)
+
+        def grad_in() -> np.ndarray:
+            gx = np.matmul(w.reshape(desc.in_channels, -1), gcols)
+            return gx.reshape(xf.shape[0], desc.in_channels, h, wdt)
+
+        return _add_weight_grad(store, f"{desc.name}.w", xf, gcols, False,
+                                grad_in if need_grad_in else None)
 
     if desc.kind == "dense":
         (x,) = cache
@@ -1093,11 +1053,10 @@ def stack_backward(descs: Sequence[LayerDescriptor], store: ParamStore, caches,
                    ) -> np.ndarray | None:
     """Backpropagate a stack; with need_grad_in False its first layer skips
     its input gradient and None is returned."""
-    with _BackwardScope():
-        g = grad_out
-        for i in range(len(descs) - 1, -1, -1):
-            g = backward(descs[i], store, caches[i], g, need_grad_in=need_grad_in or i > 0)
-        return g
+    g = grad_out
+    for i in range(len(descs) - 1, -1, -1):
+        g = backward(descs[i], store, caches[i], g, need_grad_in=need_grad_in or i > 0)
+    return g
 
 
 # ---------------------------------------------------------------------------

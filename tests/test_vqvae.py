@@ -412,8 +412,6 @@ def test_failed_step_leaves_no_gradient_in_flight(runners):
     poisoned[:, 0, 0, 0] = np.nan
     with pytest.raises(NumericError, match="step 0"):
         vqvae.train_vqvae(poisoned, cfg)
-    assert getattr(nn._backprop, "job", None) is None
-    assert getattr(nn._backprop, "depth", 0) == 0
     assert _trained_bytes(small_images(2), cfg) == fresh
 
 
