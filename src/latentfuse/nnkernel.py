@@ -7,8 +7,11 @@ seeds give bitwise-equal models.
 
 Conventions, pinned for cross-run reproducibility:
 
-- Activations carry a leading batch axis; images are channel-major
-  (N, C, H, W), rows stored row-major.
+- Activations carry a leading batch axis. Images have the logical shape
+  (N, C, H, W), and every image a layer produces (conv2d,
+  conv_transpose2d, residual_block, and relu or sigmoid of those) is a
+  view over channels-last (N, H, W, C) memory. Layers take inputs of any
+  strides (docs/design.md, "Memory format").
 - conv2d computes cross-correlation (no kernel flip), bias added per
   output channel. Output spatial size per axis: (H + 2p - k) // s + 1.
 - conv_transpose2d is the exact adjoint of conv2d with the same
@@ -32,10 +35,10 @@ Conventions, pinned for cross-run reproducibility:
   time steps, a training conv's image ranges) on every idle CPU: the
   calling thread and the workers of one persistent pool each take items
   until none are left (docs/design.md, "Parallelism").
-- conv2d unfolds its input into GEMM columns in one of two orders, picked
-  from the layer's shape alone: channel-major, or channels-last when the
-  layer has no more output pixels per image than input channels
-  (ho * wo <= c; docs/design.md, "Column order").
+- conv2d pads its input into (N, H+2p, W+2p, C), unfolds each output
+  pixel's patch as k runs of k*C contiguous floats, and runs one
+  (P, k*k*C) @ (k*k*C, O) GEMM per image straight into its (N, P, O)
+  output, P = ho * wo.
 - conv_transpose2d's forward and conv2d's input gradient are one operator,
   the conv's adjoint, run in sub-pixel form: a stride-1 conv of the
   gradient whose output channels are the s*s output phases, interleaved
@@ -59,7 +62,6 @@ from itertools import product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from . import hostinfo
 from .errors import NumericError, UsageError
@@ -397,7 +399,7 @@ class Arena:
         self._top = start + -(-size // _ALIGN) * _ALIGN
         self._deepest = max(self._deepest, self._top)
         if self._top <= self._buf.size:
-            return self._buf[start:start + size].view(dtype).reshape(shape)
+            return np.ndarray(shape, dtype, self._buf, start)
         block = np.empty(shape, dtype)
         self._spilled.append((start, block))
         return block
@@ -568,22 +570,23 @@ def _batch_ranges(n: int) -> list[range]:
 
 
 def _add_weight_grad(store: ParamStore, name: str, grad_rows: np.ndarray,
-                     cols: np.ndarray, last: bool,
+                     cols: np.ndarray,
                      grad_in: Callable[[], np.ndarray] | None = None) -> np.ndarray | None:
-    """Accumulate the `_weight_grad_operands` GEMM into parameter `name` and
-    return grad_in(), or None without it.
+    """Accumulate grad_rows.T @ cols into parameter `name`, one GEMM over all
+    images, and return grad_in(), or None without it.
 
-    The GEMM's rows are the weight's in `_weight_rows` order: channels-last
-    with `last`, else the weight's own.
+    grad_rows is the (n*P, O) output gradient (`_channel_rows`) and cols
+    the (n, P, k*k*c) columns its layer unfolded, so both operands are
+    views, and the (O, k*k*c) result is the weight in `_weight_rows` order.
     With grad_in, a second runner and no map running on this thread, the
     GEMM goes to a pool worker, into an array allocated here, while this
     thread runs grad_in. The gradient is added after both end, even when
     grad_in raises, so the store holds what one runner leaves.
     """
-    gm, rows = _weight_grad_operands(grad_rows, cols)
+    gm, rows = grad_rows.T, cols.reshape(-1, cols.shape[-1])
     shape = store.values[name].shape
     if grad_in is None or _free_runners() < 2:
-        store.accumulate(name, _rows_to_weight(np.dot(gm, rows), shape, last))
+        store.accumulate(name, _rows_to_weight(np.dot(gm, rows), shape))
         return None if grad_in is None else grad_in()
     out = np.empty((gm.shape[0], rows.shape[1]), np.result_type(gm, rows))
     (done,) = _submit(1, lambda: np.dot(gm, rows, out=out))
@@ -591,28 +594,31 @@ def _add_weight_grad(store: ParamStore, name: str, grad_rows: np.ndarray,
         return grad_in()
     finally:
         done.result()
-        store.accumulate(name, _rows_to_weight(out, shape, last))
+        store.accumulate(name, _rows_to_weight(out, shape))
 
 
-def _conv2d_ranges(x: np.ndarray, wm: np.ndarray, k: int, s: int, p: int, last: bool,
-                   ranges: list[range]) -> tuple[np.ndarray, np.ndarray]:
-    """np.matmul(wm, cols) and the cols of `_im2col(x, k, s, p, last=last)`,
-    one image range per runner of the map.
+def _conv_ranges(x: np.ndarray, rows: np.ndarray, k: int, s: int, p: int, out: np.ndarray,
+                 ranges: list[range], arena: Arena | None = None,
+                 then: Callable[[slice], None] | None = None) -> np.ndarray:
+    """Multiply each image's k x k, stride-s, padding-p patches of x by
+    rows.T into out (n, P, O), and return the columns (`_im2col`).
 
-    The padded input, the column store and the output are allocated here,
-    for the whole batch; each runner pads, unfolds and multiplies its own
-    images, with the per-image GEMMs of the one call.
+    rows is the (O, k*k*c) weight in `_weight_rows` order. The padded input
+    and the columns are allocated here for the whole batch, as blocks of
+    `arena` with one; each runner of the map pads, unfolds and multiplies
+    one image range, one GEMM per image, then runs then(part) on it.
     """
-    xp, patches, cols, ho, wo = _unfold_buffers(x.shape, k, s, p, last, x.dtype)
-    out = np.empty((x.shape[0], wm.shape[0], ho * wo), dtype=np.result_type(wm, x))
+    xp, cols = _unfold_buffers(x.shape, k, s, p, x.dtype, arena)
 
     def run(r: range) -> None:
         part = slice(r.start, r.stop)
-        _unfold(x, xp, patches, k, s, p, last, part)
-        np.matmul(wm, cols[part], out=out[part])
+        _unfold(x, xp, cols, k, s, p, part)
+        np.matmul(cols[part], rows.T, out=out[part])
+        if then is not None:
+            then(part)
 
     map_windows(run, ranges)
-    return out, cols
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -629,86 +635,74 @@ def sigmoid_fn(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _windows(xp: np.ndarray, k: int, s: int, ho: int, wo: int, last: bool) -> np.ndarray:
-    """The patch view of a padded batch: (c, k, k, n, ho, wo) of an
-    (n, c, H, W) one, or with `last`, (n, ho, wo, k, k, c) of an
-    (n, H, W, c) one."""
-    if last:
-        n, c = xp.shape[0], xp.shape[3]
-        sn, sh, sw, sc = xp.strides
-        return as_strided(xp, (n, ho, wo, k, k, c), (sn, sh * s, sw * s, sh, sw, sc))
-    n, c = xp.shape[:2]
-    sn, sc, sh, sw = xp.strides
-    return as_strided(xp, (c, k, k, n, ho, wo), (sc, sh, sw, sn, sh * s, sw * s))
+def _activation(shape: tuple[int, ...], dtype, arena: Arena | None = None) -> np.ndarray:
+    """An uninitialized layer output, an arena block with an arena. An image
+    (n, c, h, w) is a view over channels-last (n, h, w, c) memory."""
+    empty = np.empty if arena is None else arena.take
+    if len(shape) != 4:
+        return empty(shape, dtype)
+    n, c, h, w = shape
+    return empty((n, h, w, c), dtype).transpose(0, 3, 1, 2)
 
 
-def _unfold_buffers(shape: tuple[int, ...], k: int, s: int, p: int, last: bool,
-                    dtype, arena: Arena | None = None):
-    """(xp, patches, cols, ho, wo) for unfolding an (n, c, h, w) batch.
+def _channel_rows(x: np.ndarray) -> np.ndarray:
+    """An (n, c, h, w) image as its (n*h*w, c) pixel rows: a view when x is
+    channels-last, else a copy. Sums and GEMMs over these rows run in one
+    order whatever x's strides."""
+    return x.transpose(0, 2, 3, 1).reshape(-1, x.shape[1])
 
-    xp is the zeroed padded input, (n, c, H, W), or (n, H, W, c) with
-    `last`. cols is the logical (n, rows, P) column array and patches the
-    same memory in `_windows`' shape. Channel-major, row (ch*k + i)*k + j
-    is stored image-interleaved as (c*k*k, n, P): each image's (c*k*k, P)
-    matrix is a strided view that BLAS takes as is, and all images'
-    columns side by side are a (c*k*k, n*P) view. Channels-last, row
-    (i*k + j)*c + ch is stored as (n, P, k*k*c), so each patch is k runs
-    of k*c contiguous floats, and all images' columns are a free
-    (n*P, k*k*c) matrix. Either way `_weight_grad_operands` hands all
-    images to one GEMM. With an arena, xp and the columns are arena blocks.
+
+def _windows(xp: np.ndarray, k: int, s: int, ho: int, wo: int) -> np.ndarray:
+    """The (n, ho, wo, k, k, c) patch view of a contiguous padded
+    (n, H, W, c) batch."""
+    n, c = xp.shape[0], xp.shape[3]
+    sn, sh, sw, sc = xp.strides
+    return np.ndarray((n, ho, wo, k, k, c), xp.dtype, xp, 0,
+                      (sn, sh * s, sw * s, sh, sw, sc))
+
+
+def _unfold_buffers(shape: tuple[int, ...], k: int, s: int, p: int, dtype,
+                    arena: Arena | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(xp, cols) for unfolding an (n, c, h, w) batch.
+
+    xp is the zeroed padded input (n, h+2p, w+2p, c). cols is (n, P, k*k*c):
+    row oy*wo + ox of image b is that output pixel's patch, column
+    (i*k + j)*c + ch, so each patch is k runs of k*c contiguous floats and
+    all images' columns are a free (n*P, k*k*c) matrix. With an arena, both
+    are arena blocks.
     """
     n, c, h, w = shape
     ho = (h + 2 * p - k) // s + 1
     wo = (w + 2 * p - k) // s + 1
     zeros = np.zeros if arena is None else arena.zeros
     empty = np.empty if arena is None else arena.take
-    if last:
-        xp = zeros((n, h + 2 * p, w + 2 * p, c), dtype)
-        store = empty((n, ho * wo, k * k * c), dtype)
-        return xp, store.reshape(n, ho, wo, k, k, c), store.transpose(0, 2, 1), ho, wo
-    xp = zeros((n, c, h + 2 * p, w + 2 * p), dtype)
-    store = empty((c * k * k, n, ho * wo), dtype)
-    return xp, store.reshape(c, k, k, n, ho, wo), store.transpose(1, 0, 2), ho, wo
+    return zeros((n, h + 2 * p, w + 2 * p, c), dtype), empty((n, ho * wo, k * k * c), dtype)
 
 
-def _unfold(x: np.ndarray, xp: np.ndarray, patches: np.ndarray, k: int, s: int, p: int,
-            last: bool, part: slice = slice(None)) -> None:
-    """Pad images x[part] into xp and copy their patches into their columns."""
+def _unfold(x: np.ndarray, xp: np.ndarray, cols: np.ndarray, k: int, s: int, p: int,
+            part: slice = slice(None)) -> None:
+    """Pad images x[part] into xp and copy their patches into their columns.
+    The pad is a contiguous copy when x is channels-last."""
     h, w = x.shape[2:]
-    if last:
-        ho, wo = patches.shape[1:3]
-        xp[part, p:p + h, p:p + w] = x[part].transpose(0, 2, 3, 1)
-        patches[part] = _windows(xp[part], k, s, ho, wo, last)
-    else:
-        ho, wo = patches.shape[4:]
-        xp[part, :, p:p + h, p:p + w] = x[part]
-        patches[:, :, :, part] = _windows(xp[part], k, s, ho, wo, last)
+    ho, wo = (xp.shape[1] - k) // s + 1, (xp.shape[2] - k) // s + 1
+    xp[part, p:p + h, p:p + w] = x[part].transpose(0, 2, 3, 1)
+    patches = _windows(xp[part], k, s, ho, wo)
+    cols[part].reshape(patches.shape)[...] = patches
 
 
-def _im2col(x: np.ndarray, k: int, s: int, p: int, arena: Arena | None = None,
-            last: bool = False) -> np.ndarray:
-    """Patch columns of shape (n, rows, ho*wo), in `_unfold_buffers`' order.
+def _im2col(x: np.ndarray, k: int, s: int, p: int, arena: Arena | None = None) -> np.ndarray:
+    """Patch columns (n, P, k*k*c), in `_unfold_buffers`' order.
 
     With an arena, the padded input and the columns are arena blocks.
     """
-    xp, patches, cols, _, _ = _unfold_buffers(x.shape, k, s, p, last, x.dtype, arena)
-    _unfold(x, xp, patches, k, s, p, last)
+    xp, cols = _unfold_buffers(x.shape, k, s, p, x.dtype, arena)
+    _unfold(x, xp, cols, k, s, p)
     return cols
 
 
-def _channels_last(c: int, ho: int, wo: int) -> bool:
-    """Whether a conv2d unfolds channels-last: when it has no more output
-    pixels per image than input channels, so that a channels-last patch
-    row is a few long runs where a channel-major one is many short ones."""
-    return ho * wo <= c
-
-
-def _weight_rows(w: np.ndarray, last: bool, arena: Arena | None = None) -> np.ndarray:
-    """A conv2d weight (O, c, k, k) as the (O, rows) GEMM operand of its
-    column order: a view channel-major, a copy (an arena block, with an
-    arena) channels-last."""
-    if not last:
-        return w.reshape(w.shape[0], -1)
+def _weight_rows(w: np.ndarray, arena: Arena | None = None) -> np.ndarray:
+    """A conv weight (O, c, k, k) as the (O, k*k*c) GEMM operand of its
+    columns: a copy, an arena block with an arena."""
     o, c, k, _ = w.shape
     empty = np.empty if arena is None else arena.take
     rows = empty((o, k * k * c), w.dtype)
@@ -716,31 +710,16 @@ def _weight_rows(w: np.ndarray, last: bool, arena: Arena | None = None) -> np.nd
     return rows
 
 
-def _rows_to_weight(rows: np.ndarray, shape: tuple[int, ...], last: bool) -> np.ndarray:
-    """Inverse of `_weight_rows`: (O, rows) as a view of the weight's shape."""
-    if not last:
-        return rows.reshape(shape)
+def _rows_to_weight(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of `_weight_rows`: (O, k*k*c) as a view of the weight's shape."""
     o, c, k, _ = shape
     return rows.reshape(o, k, k, c).transpose(0, 3, 1, 2)
 
 
-def _weight_grad_operands(grad_rows: np.ndarray, cols: np.ndarray
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b) with np.dot(a, b) = sum over images i of grad_rows[i] @ cols[i].T,
-    one GEMM.
-
-    grad_rows is (n, r, P) and cols an `_im2col` result of either order,
-    whose (rows, n*P) matrix is a view. The operand shapes are those
-    np.tensordot over axes (0, 2) builds, minus its transposed copy of cols.
-    """
-    gm = grad_rows.transpose(1, 0, 2).reshape(grad_rows.shape[1], -1)
-    rows = cols.transpose(1, 0, 2)
-    return gm, rows.reshape(rows.shape[0], -1).T
-
-
 def _phase_weight(w: np.ndarray, s: int, arena: Arena | None = None) -> np.ndarray:
-    """The stride-1 conv weight (s*s*B, A, q, q), q = ceil(k/s), of the
-    sub-pixel form of the adjoint of a stride-s conv2d with weight (A, B, k, k).
+    """The (s*s*B, q*q*A) GEMM rows, in `_weight_rows` order, of the
+    stride-1 conv with kernel q = ceil(k/s) that is the sub-pixel form of
+    the adjoint of a stride-s conv2d with weight (A, B, k, k).
 
     Output channel (ry*s + rx)*B + b is phase (ry, rx) of channel b. Its tap
     (ty, tx) is kernel tap (ry + s*(q-1-ty), rx + s*(q-1-tx)), and 0 where
@@ -749,32 +728,32 @@ def _phase_weight(w: np.ndarray, s: int, arena: Arena | None = None) -> np.ndarr
     a, b, k, _ = w.shape
     q = -(-k // s)
     zeros = np.zeros if arena is None else arena.zeros
-    wp = zeros((s, s, b, a, q, q), w.dtype)
+    wp = zeros((s, s, b, q, q, a), w.dtype)
     for ry, rx in product(range(s), repeat=2):
         taps = w[:, :, ry::s, rx::s]
         my, mx = taps.shape[2:]
-        wp[ry, rx, :, :, q - my:, q - mx:] = taps[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    return wp.reshape(s * s * b, a, q, q)
+        wp[ry, rx, :, q - my:, q - mx:] = taps[:, :, ::-1, ::-1].transpose(1, 2, 3, 0)
+    return wp.reshape(s * s * b, q * q * a)
 
 
-def _depth_to_space(phases: np.ndarray, s: int, p: int, out: np.ndarray) -> None:
-    """Interleave the (n, s, s, B, Ha, Wa) phase grids into out (n, B, h, w).
+def _depth_to_space(grids: np.ndarray, s: int, p: int, out: np.ndarray) -> None:
+    """Interleave the (n, Ha, Wa, s, s, B) phase grids into out (n, h, w, B).
 
     Pixel y of out is padded row y + p = s*a + ry: row a of phase ry. The
     pixels whose row or column lies past the grid are reached by no tap and
     read 0.
     """
-    ha, wa = phases.shape[4:]
-    h, w = out.shape[2:]
+    ha, wa = grids.shape[1:3]
+    h, w = out.shape[1:3]
     for ry, rx in product(range(s), repeat=2):
         y0, x0 = (ry - p) % s, (rx - p) % s
         a0, b0 = (y0 + p) // s, (x0 + p) // s
         rows = max(0, min(len(range(y0, h, s)), ha - a0))
         cols = max(0, min(len(range(x0, w, s)), wa - b0))
-        dst = out[:, :, y0::s, x0::s]
-        dst[:, :, :rows, :cols] = phases[:, ry, rx, :, a0:a0 + rows, b0:b0 + cols]
-        dst[:, :, rows:] = 0
-        dst[:, :, :rows, cols:] = 0
+        dst = out[:, y0::s, x0::s]
+        dst[:, :rows, :cols] = grids[:, a0:a0 + rows, b0:b0 + cols, ry, rx]
+        dst[:, rows:] = 0
+        dst[:, :rows, cols:] = 0
 
 
 def _conv_adjoint(g: np.ndarray, w: np.ndarray, s: int, p: int, out: np.ndarray,
@@ -785,29 +764,21 @@ def _conv_adjoint(g: np.ndarray, w: np.ndarray, s: int, p: int, out: np.ndarray,
 
     Sub-pixel form: a stride-1 conv of g with kernel q = ceil(k/s), padding
     q - 1 and the `_phase_weight`, whose s*s*B output channels are the
-    phases of out, interleaved by `_depth_to_space`. As in `_conv2d_ranges`,
-    the buffers are allocated here for the whole batch (as blocks of
-    `arena`, with one) and each runner of the map unfolds, multiplies and
-    interleaves one image range.
+    phases of out, interleaved by `_depth_to_space`. Through
+    `_conv_ranges`, each runner of the map unfolds, multiplies and
+    interleaves one image range; the buffers are blocks of `arena` with one.
     """
     n, a, ho, wo = g.shape
     q = -(-w.shape[2] // s)
     ha, wa = ho + q - 1, wo + q - 1
-    last = _channels_last(a, ha, wa)
     empty = np.empty if arena is None else arena.take
     mark = None if arena is None else arena.mark()
-    wm = _weight_rows(_phase_weight(w, s, arena), last, arena)
-    xp, patches, cols, _, _ = _unfold_buffers(g.shape, q, 1, q - 1, last, g.dtype, arena)
-    phases = empty((n, wm.shape[0], ha * wa), np.result_type(wm, g))
-    grids = phases.reshape(n, s, s, w.shape[1], ha, wa)
-
-    def run(r: range) -> None:
-        part = slice(r.start, r.stop)
-        _unfold(g, xp, patches, q, 1, q - 1, last, part)
-        np.matmul(wm, cols[part], out=phases[part])
-        _depth_to_space(grids[part], s, p, out[part])
-
-    map_windows(run, ranges)
+    rows = _phase_weight(w, s, arena)
+    phases = empty((n, ha * wa, rows.shape[0]), np.result_type(rows, g))
+    grids = phases.reshape(n, ha, wa, s, s, w.shape[1])
+    dst = out.transpose(0, 2, 3, 1)
+    _conv_ranges(g, rows, q, 1, q - 1, phases, ranges, arena,
+                 lambda part: _depth_to_space(grids[part], s, p, dst[part]))
     if arena is not None:
         arena.release(mark)
     return out
@@ -817,7 +788,6 @@ def _check_image_input(desc: LayerDescriptor, x: np.ndarray) -> None:
     if x.ndim != 4 or x.shape[1] != desc.in_channels:
         raise UsageError(f"{desc.kind} {desc.name}: input shape {x.shape} incompatible "
                          f"with (N, {desc.in_channels}, H, W)")
-
 
 # ---------------------------------------------------------------------------
 # Forward / backward
@@ -844,21 +814,18 @@ def forward(desc: LayerDescriptor, store: ParamStore, x, arena: Arena | None = N
         w = store.values[f"{desc.name}.w"]
         b = store.values[f"{desc.name}.b"]
         k, s, p = desc.kernel, desc.stride, desc.padding
-        _, ho, wo = out_shape(desc, x.shape[1:])
-        last = _channels_last(desc.in_channels, ho, wo)
+        n = x.shape[0]
+        out = _activation((n,) + out_shape(desc, x.shape[1:]), np.result_type(w, x), arena)
+        pixels = out.transpose(0, 2, 3, 1).reshape(n, -1, desc.out_channels)
         if arena is None:
-            wm = _weight_rows(w, last)
-            out, cols = _conv2d_ranges(x, wm, k, s, p, last, _batch_ranges(x.shape[0]))
-            cache = (x.shape, cols, ho, wo)
+            cache = (x.shape, _conv_ranges(x, _weight_rows(w), k, s, p, pixels,
+                                           _batch_ranges(n)))
         else:
-            out = arena.take((x.shape[0], desc.out_channels, ho * wo), np.result_type(w, x))
             mark = arena.mark()
-            wm = _weight_rows(w, last, arena)
-            np.matmul(wm, _im2col(x, k, s, p, arena, last), out=out)
+            _conv_ranges(x, _weight_rows(w, arena), k, s, p, pixels, [range(n)], arena)
             arena.release(mark)
             cache = None
-        out += b[:, None]
-        out = out.reshape(x.shape[0], desc.out_channels, ho, wo)
+        pixels += b
         return out, cache
 
     if desc.kind == "conv_transpose2d":
@@ -866,18 +833,11 @@ def forward(desc: LayerDescriptor, store: ParamStore, x, arena: Arena | None = N
         w = store.values[f"{desc.name}.w"]
         b = store.values[f"{desc.name}.b"]
         n = x.shape[0]
-        shape = (n,) + out_shape(desc, x.shape[1:])
-        dtype = np.result_type(w, x)
-        if arena is None:
-            out = _conv_adjoint(x, w, desc.stride, desc.padding, np.empty(shape, dtype),
-                                _batch_ranges(n))
-            cache = (x.reshape(n, desc.in_channels, -1), x.shape[2:])
-        else:
-            out = _conv_adjoint(x, w, desc.stride, desc.padding, arena.take(shape, dtype),
-                                [range(n)], arena)
-            cache = None
-        out += b[None, :, None, None]
-        return out, cache
+        out = _activation((n,) + out_shape(desc, x.shape[1:]), np.result_type(w, x), arena)
+        ranges = _batch_ranges(n) if arena is None else [range(n)]
+        _conv_adjoint(x, w, desc.stride, desc.padding, out, ranges, arena)
+        out += b[:, None, None]
+        return out, (x if arena is None else None)
 
     if desc.kind == "dense":
         if x.ndim != 2 or x.shape[1] != desc.in_features:
@@ -890,7 +850,8 @@ def forward(desc: LayerDescriptor, store: ParamStore, x, arena: Arena | None = N
     if desc.kind == "relu":
         if arena is None:
             return np.maximum(x, 0), (x > 0,)
-        return np.maximum(x, 0, out=x if arena.owns(x) else arena.take(x.shape, x.dtype)), None
+        out = x if arena.owns(x) else _activation(x.shape, x.dtype, arena)
+        return np.maximum(x, 0, out=out), None
 
     if desc.kind == "sigmoid":
         y = sigmoid_fn(x)
@@ -905,9 +866,10 @@ def forward(desc: LayerDescriptor, store: ParamStore, x, arena: Arena | None = N
         if h.shape != x.shape:
             raise UsageError(f"residual_block {desc.name}: inner shape {h.shape} "
                              f"does not match input {x.shape}")
+        dtype = np.result_type(x, h)
         if arena is None:
-            return x + h, tuple(caches)
-        out = h if h is not x and arena.owns(h) else arena.take(h.shape, np.result_type(x, h))
+            return np.add(x, h, out=_activation(x.shape, dtype)), tuple(caches)
+        out = h if h is not x and arena.owns(h) else _activation(h.shape, dtype, arena)
         return np.add(x, h, out=out), None
 
     if desc.kind == "recurrent_cell":
@@ -939,35 +901,34 @@ def backward(desc: LayerDescriptor, store: ParamStore, cache, grad_out, *,
     if not need_grad_in and not param_specs(desc):
         return None
     if desc.kind == "conv2d":
-        x_shape, cols, ho, wo = cache
-        n = x_shape[0]
+        x_shape, cols = cache
+        n, _, ho, wo = grad_out.shape
         s, p = desc.stride, desc.padding
-        last = _channels_last(desc.in_channels, ho, wo)
-        gm = grad_out.reshape(n, desc.out_channels, ho * wo)
-        store.accumulate(f"{desc.name}.b", gm.sum(axis=(0, 2)))
+        gm = _channel_rows(grad_out)
+        store.accumulate(f"{desc.name}.b", gm.sum(axis=0))
         w = store.values[f"{desc.name}.w"]
 
         def grad_in() -> np.ndarray:
             # runs beside the weight-gradient GEMM: reads w and grad_out, not cols
-            gx = np.empty(x_shape, np.result_type(w, gm))
-            return _conv_adjoint(gm.reshape(n, desc.out_channels, ho, wo), w, s, p, gx,
-                                 [range(n)])
+            g = gm.reshape(n, ho, wo, -1).transpose(0, 3, 1, 2)
+            gx = _activation(x_shape, np.result_type(w, gm))
+            return _conv_adjoint(g, w, s, p, gx, [range(n)])
 
-        return _add_weight_grad(store, f"{desc.name}.w", gm, cols, last,
+        return _add_weight_grad(store, f"{desc.name}.w", gm, cols,
                                 grad_in if need_grad_in else None)
 
     if desc.kind == "conv_transpose2d":
-        xf, (h, wdt) = cache
+        x = cache
+        n, a, h, wdt = x.shape
         w = store.values[f"{desc.name}.w"]
-        k, s, p = desc.kernel, desc.stride, desc.padding
-        gcols = _im2col(grad_out, k, s, p)
-        store.accumulate(f"{desc.name}.b", grad_out.sum(axis=(0, 2, 3)))
+        gcols = _im2col(grad_out, desc.kernel, desc.stride, desc.padding)
+        store.accumulate(f"{desc.name}.b", _channel_rows(grad_out).sum(axis=0))
 
         def grad_in() -> np.ndarray:
-            gx = np.matmul(w.reshape(desc.in_channels, -1), gcols)
-            return gx.reshape(xf.shape[0], desc.in_channels, h, wdt)
+            gx = np.matmul(gcols, _weight_rows(w).T)
+            return gx.reshape(n, h, wdt, a).transpose(0, 3, 1, 2)
 
-        return _add_weight_grad(store, f"{desc.name}.w", xf, gcols, False,
+        return _add_weight_grad(store, f"{desc.name}.w", _channel_rows(x), gcols,
                                 grad_in if need_grad_in else None)
 
     if desc.kind == "dense":
@@ -1043,7 +1004,7 @@ def stack_infer(descs: Sequence[LayerDescriptor], store: ParamStore, x: np.ndarr
     try:
         for d in descs:
             x, _ = forward(d, store, x, arena=arena)
-        return x.copy() if arena.owns(x) else x
+        return x.copy(order="K") if arena.owns(x) else x
     finally:
         arena.release(mark)
 

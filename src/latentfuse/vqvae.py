@@ -153,12 +153,14 @@ def quantize(z_e: np.ndarray, codebook: Codebook) -> LatentCode:
     """Nearest codebook entry per grid cell; ties go to the lowest index.
 
     quantized is built by table lookup, so each of its columns equals the
-    selected codebook row bitwise.
+    selected codebook row bitwise. The (h*w, D) rows searched are a free
+    view of a channels-last z_e, such as `encode` returns.
     """
     d, h, w = z_e.shape
     if d != codebook.d:
         raise UsageError(f"latent dim {d} does not match codebook dim {codebook.d}")
-    indices = _nearest_codes(z_e.reshape(d, h * w).T, codebook.entries).reshape(h, w)
+    indices = _nearest_codes(z_e.transpose(1, 2, 0).reshape(h * w, d),
+                             codebook.entries).reshape(h, w)
     return LatentCode(indices, codebook.lookup(indices))
 
 
@@ -246,7 +248,9 @@ def vq_loss(x: np.ndarray, x_hat: np.ndarray, z_e: np.ndarray, z_q: np.ndarray,
 
 def _quantize_batch(z_e: np.ndarray, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-code lookup for a (B, D, H, W) batch; per image it picks the
-    codes `quantize` picks. Returns flat (B*H*W,) indices and z_q."""
+    codes `quantize` picks. Returns flat (B*H*W,) indices and z_q, whose
+    memory is channels-last like the encoder's output; the rows searched
+    are a free view of a channels-last z_e."""
     b, d, h, w = z_e.shape
     indices = _nearest_codes(z_e.transpose(0, 2, 3, 1).reshape(-1, d), entries)
     z_q = entries[indices].reshape(b, h, w, d).transpose(0, 3, 1, 2)
@@ -277,6 +281,9 @@ def train_vqvae(dataset: list[SpectralImage] | np.ndarray,
     n = images.shape[0]
     if n == 0:
         raise UsageError("empty training set")
+    # each batch is gathered into channels-last memory, the format of every
+    # activation the model produces, so enc.c1 pads it with contiguous copies
+    channels_last = images.transpose(0, 2, 3, 1)
 
     model = build_model(cfg.codebook_size, cfg.embed_dim, cfg.seed)
     store = model.store
@@ -287,7 +294,7 @@ def train_vqvae(dataset: list[SpectralImage] | np.ndarray,
 
     for step in range(cfg.steps):
         idx = rng.integers(n, cfg.batch)
-        x = images[idx]
+        x = channels_last[idx].transpose(0, 3, 1, 2)
         z_e, enc_caches = nn.stack_forward(model.encoder, store, x)
         flat_idx, z_q = _quantize_batch(z_e, entries)
         x_hat, dec_caches = nn.stack_forward(model.decoder, store, z_q)

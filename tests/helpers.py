@@ -243,3 +243,31 @@ def col2im_by_loops(cols: np.ndarray, x_shape: tuple[int, ...], k: int, s: int,
                             if 0 <= y < h and 0 <= xx < w:
                                 out[b, ch, y, xx] += cols[b, row, oy * wo + ox]
     return out
+
+
+def naive_conv(x, w, b, s, p):
+    """Cross-correlation of (n, c, h, w) x with weight (O, c, k, k) and bias b,
+    stride s and zero padding p, one output element at a time."""
+    n, cin, h, wid = x.shape
+    cout, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    ho = (h + 2 * p - k) // s + 1
+    wo = (wid + 2 * p - k) // s + 1
+    out = np.zeros((n, cout, ho, wo))
+    for bi in range(n):
+        for co in range(cout):
+            for i in range(ho):
+                for j in range(wo):
+                    patch = xp[bi, :, i * s:i * s + k, j * s:j * s + k]
+                    out[bi, co, i, j] = np.sum(patch * w[co]) + b[co]
+    return out
+
+
+def channels_last(x: np.ndarray) -> np.ndarray:
+    """The values of an (n, c, h, w) array as a view over (n, h, w, c) memory."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def is_channels_last(x: np.ndarray) -> bool:
+    """Whether an (n, c, h, w) array lies in compact (n, h, w, c) memory."""
+    return x.transpose(0, 2, 3, 1).flags.c_contiguous

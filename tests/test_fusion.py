@@ -7,7 +7,7 @@ from latentfuse import fusion, synthetic
 from latentfuse import nnkernel as nn
 from latentfuse.errors import DataError, UsageError
 
-from helpers import auc_by_pairs
+from helpers import auc_by_pairs, naive_conv
 
 
 def random_latents(names, d=4, grid=8, seed=0):
@@ -105,6 +105,45 @@ def test_forward_logits_batch_matches_single():
         xi, _ = fusion._sequence_batch([sample])
         one, _ = fusion.forward_logits(head, xi)
         assert batch_logits[i] == pytest.approx(one[0], abs=1e-6)
+
+
+def _reference_logits(head, x, flatten):
+    """Logits of a (B, L, C, g, g) batch in float64: naive_conv and relu for
+    the conv stack, flatten(features) into the cell, the cell equations,
+    then the output layer."""
+    p = {name: v.astype(np.float64) for name, v in head.store.values.items()}
+
+    def sig(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    h = np.zeros((x.shape[0], head.cell.hidden))
+    for t in range(x.shape[1]):
+        f = x[:, t].astype(np.float64)
+        for c in ("head.c1", "head.c2"):
+            f = np.maximum(naive_conv(f, p[f"{c}.w"], p[f"{c}.b"], 2, 1), 0.0)
+        f = flatten(f)
+        u = sig(f @ p["head.cell.wxu"].T + h @ p["head.cell.whu"].T + p["head.cell.bu"])
+        r = sig(f @ p["head.cell.wxr"].T + h @ p["head.cell.whr"].T + p["head.cell.br"])
+        c = np.tanh(f @ p["head.cell.wxc"].T + (r * h) @ p["head.cell.whc"].T
+                    + p["head.cell.bc"])
+        h = (1.0 - u) * h + u * c
+    return (h @ p["head.out.w"].T + p["head.out.b"])[:, 0]
+
+
+def test_forward_logits_match_a_float64_reference_that_flattens_c_h_w():
+    # a saved head's cell weights read the conv features in C*H*W order
+    head = fusion.build_head(8, grid=8, seed=3)
+    for name, v in head.store.values.items():
+        if name.rsplit(".", 1)[1].startswith("b"):  # nonzero biases
+            v[...] = np.random.default_rng(len(name)).uniform(-0.2, 0.2, v.shape)
+    data = synthetic.make_separable_sequences(4, m=2, d=4, grid=8, seq_len=3, seed=5)
+    x, _ = fusion._sequence_batch(data)
+    logits, _ = fusion.forward_logits(head, x)
+    want = _reference_logits(head, x, lambda f: f.reshape(f.shape[0], -1))
+    assert np.allclose(logits, want, rtol=0, atol=1e-5)
+    # the check has teeth: an H*W*C flatten moves the logits past it
+    slip = _reference_logits(head, x, lambda f: f.transpose(0, 2, 3, 1).reshape(f.shape[0], -1))
+    assert np.abs(slip - want).max() > 1e-3
 
 
 def test_forward_logits_rejects_wrong_channels():

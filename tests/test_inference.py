@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from latentfuse import baseline, fusion, synthetic, vqvae
 from latentfuse import nnkernel as nn
 from latentfuse.spectral import SpectralImage
+
+from helpers import channels_last, is_channels_last
 
 
 def _stacks():
@@ -69,6 +72,60 @@ def test_stack_infer_is_stack_forward_bitwise_and_owns_its_results():
     # later calls reuse the arena; no returned array may change with them
     for (name, batch, _), (got, want) in zip(calls, results):
         assert got.tobytes() == want.tobytes(), f"{name} batch {batch} aliases the arena"
+
+
+def _layer_outputs(descs, store, x):
+    """Every layer's output in a stack_forward pass over x."""
+    outs = []
+    for d in descs:
+        x, _ = nn.forward(d, store, x)
+        outs.append(x)
+    return outs
+
+
+def _gradients(descs, store, x, grad):
+    """(input gradient, parameter gradients) of one stack_forward and
+    stack_backward pass; the store's gradients are left at zero."""
+    store.zero_grads()
+    _, caches = nn.stack_forward(descs, store, x)
+    g_in = nn.stack_backward(descs, store, caches, grad)
+    params = {name: g.copy() for name, g in store.grads.items()}
+    store.zero_grads()
+    return g_in, params
+
+
+@pytest.mark.parametrize("name", ["encoder", "decoder", "baseline", "head"])
+def test_input_memory_format_changes_no_bit_and_outputs_are_channels_last(name):
+    descs, store = _stacks()[name]
+    x = _inputs(2, 9)[name]
+    assert x.flags.c_contiguous and not is_channels_last(x)
+    grad = np.random.default_rng(3).standard_normal(
+        (2,) + nn.stack_out_shape(descs, x.shape[1:])).astype(np.float32)
+    results = []
+    for xi, gi in product((x, channels_last(x)), (grad, channels_last(grad))):
+        y, _ = nn.stack_forward(descs, store, xi)
+        inferred = nn.stack_infer(descs, store, xi)
+        outs = _layer_outputs(descs, store, xi)
+        assert all(is_channels_last(o) for o in outs), [d.kind for d in descs]
+        assert is_channels_last(inferred)
+        g_in, params = _gradients(descs, store, xi, gi)
+        assert is_channels_last(g_in)
+        results.append([y, inferred, g_in] + [params[k] for k in sorted(params)])
+    for other in results[1:]:
+        for a, b in zip(results[0], other):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("n_runners", [1, 2])
+@pytest.mark.parametrize("name", ["encoder", "baseline"])
+def test_batch_forward_is_per_image_forwards_bitwise(runners, n_runners, name):
+    runners(n_runners)
+    descs, store = _stacks()[name]
+    x = _inputs(4, 10)[name]
+    y, _ = nn.stack_forward(descs, store, x)
+    for i in range(x.shape[0]):
+        one, _ = nn.stack_forward(descs, store, x[i:i + 1])
+        assert one[0].tobytes() == y[i].tobytes(), (name, i)
 
 
 def test_callers_run_the_inference_pass():

@@ -8,7 +8,8 @@ import pytest
 from latentfuse import nnkernel as nn
 from latentfuse.errors import NumericError, UsageError
 
-from helpers import col2im_by_loops, fd_param_error, fd_array_error, im2col_by_loops
+from helpers import (channels_last, col2im_by_loops, fd_param_error, fd_array_error,
+                     im2col_by_loops, naive_conv)
 
 
 # ---------------------------------------------------------------------------
@@ -157,38 +158,20 @@ def test_store_rejects_duplicates_and_shape_mismatch():
 # Forward oracles (definitions recomputed by explicit loops)
 # ---------------------------------------------------------------------------
 
-def naive_conv(x, w, b, s, p):
-    n, cin, h, wid = x.shape
-    cout, _, k, _ = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    ho = (h + 2 * p - k) // s + 1
-    wo = (wid + 2 * p - k) // s + 1
-    out = np.zeros((n, cout, ho, wo))
-    for bi in range(n):
-        for co in range(cout):
-            for i in range(ho):
-                for j in range(wo):
-                    patch = xp[bi, :, i * s:i * s + k, j * s:j * s + k]
-                    out[bi, co, i, j] = np.sum(patch * w[co]) + b[co]
-    return out
-
-
 def test_conv_forward_matches_naive_loops():
     rs = np.random.default_rng(0)
-    # the last two have no more output pixels than input channels (9 and
-    # 16 for 16), so they unfold channels-last
-    for s, p, shape, last in [(1, 0, (2, 3, 7, 9), False), (1, 1, (2, 3, 7, 9), False),
-                              (2, 1, (2, 3, 7, 9), False), (2, 0, (2, 3, 7, 9), False),
-                              (2, 1, (2, 16, 6, 6), True), (1, 1, (2, 16, 4, 4), True)]:
+    # 3- and 16-channel inputs, each also given in channels-last memory
+    for s, p, shape in [(1, 0, (2, 3, 7, 9)), (1, 1, (2, 3, 7, 9)),
+                        (2, 1, (2, 3, 7, 9)), (2, 0, (2, 3, 7, 9)),
+                        (2, 1, (2, 16, 6, 6)), (1, 1, (2, 16, 4, 4))]:
         desc = nn.conv2d("c", shape[1], 4, 3, s=s, p=p)
-        _, ho, wo = nn.out_shape(desc, shape[1:])
-        assert nn._channels_last(shape[1], ho, wo) == last
         store = nn.ParamStore()
         nn.init_params([desc], store, nn.seed_rng(1), dtype=np.float64)
         x = rs.standard_normal(shape)
-        y, _ = nn.forward(desc, store, x)
         ref = naive_conv(x, store.values["c.w"], store.values["c.b"], s, p)
-        assert np.allclose(y, ref, atol=1e-12)
+        for given in (x, channels_last(x)):
+            y, _ = nn.forward(desc, store, given)
+            assert np.allclose(y, ref, atol=1e-12)
 
 
 def test_conv_transpose_is_adjoint_of_conv():
@@ -535,20 +518,19 @@ def test_bce_with_logits_stable_at_extreme_logits():
 
 
 # (kernel, stride, padding) of every conv the encoder, the decoder backward,
-# the baseline extractors and the head run through _im2col; at c = 70 every
-# one has no more output pixels than channels, so it unfolds channels-last
+# the baseline extractors and the head run through _im2col, from 3 to 70
+# channels; each input is also given in channels-last memory
 @pytest.mark.parametrize("k,s,p", [(4, 2, 1), (3, 1, 1), (3, 2, 1)])
 @pytest.mark.parametrize("n,c", [(1, 3), (8, 3), (8, 5), (2, 70)])
 def test_im2col_matches_patch_loop_bitwise(k, s, p, n, c):
     rs = np.random.default_rng(k * 100 + s * 10 + n + c)
-    ho, wo = (10 + 2 * p - k) // s + 1, (7 + 2 * p - k) // s + 1
-    last = nn._channels_last(c, ho, wo)
     for dtype in (np.float32, np.float64):
         x = rs.normal(size=(n, c, 10, 7)).astype(dtype)
-        cols = nn._im2col(x, k, s, p, last=last)
-        want, _, _ = im2col_by_loops(x, k, s, p, channels_last=last)
-        assert cols.shape == want.shape and cols.dtype == want.dtype
-        assert cols.tobytes() == np.ascontiguousarray(want).tobytes()
+        want, _, _ = im2col_by_loops(x, k, s, p, channels_last=True)
+        for given in (x, channels_last(x)):
+            cols = nn._im2col(given, k, s, p).transpose(0, 2, 1)
+            assert cols.shape == want.shape and cols.dtype == want.dtype
+            assert cols.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def conv_pair(a: int, b: int, k: int, s: int, p: int, w: np.ndarray
