@@ -18,6 +18,7 @@ memory, and there are M of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from . import nnkernel as nn
 from .errors import DataError, UsageError
 from .fusion import ClassifierHead
 from .spectral import IMAGE_SIZE, SpectralImage
-from .vqvae import GRID, load_into, read_tensors, write_tensors
+from .vqvae import GRID, image_batch, load_into, read_tensors, write_tensors
 
 BASE_WIDTH = 24
 
@@ -57,11 +58,11 @@ class BaselineSystem:
     encoders: dict[str, ModalityEncoder]
     head: ClassifierHead | None
 
-    def encode(self, modality: str, image: SpectralImage) -> np.ndarray:
-        """The modality's own extractor applied to one image."""
+    def encode(self, modality: str, images: Sequence[SpectralImage]) -> list[np.ndarray]:
+        """The modality's own extractor applied to a batch of images, in one pass."""
         if modality not in self.encoders:
             raise UsageError(f"baseline system has no encoder for {modality!r}")
-        return extract(self.encoders[modality], image)
+        return list(extract(self.encoders[modality], images))
 
     def parameter_stores(self, modalities: tuple[str, ...]) -> list[nn.ParamStore]:
         """One store per modality, each belonging to its own encoder."""
@@ -82,11 +83,15 @@ def build_encoder(modality: str, embed_dim: int = 16, seed: int = 0) -> Modality
     return ModalityEncoder(features, store)
 
 
-def extract(encoder: ModalityEncoder, image: SpectralImage) -> np.ndarray:
-    """Feature map (D, 16, 16) for one image; matches the unified latent shape."""
-    feats = nn.stack_infer(encoder.features, encoder.store,
-                           np.asarray(image.pixels[None], dtype=np.float32))
-    return feats[0]
+def extract(encoder: ModalityEncoder, images: SpectralImage | Sequence[SpectralImage]
+            ) -> np.ndarray:
+    """Feature map (D, 16, 16) for one image, the unified latent's shape, or
+    (n, D, 16, 16) for a sequence of n, in one pass.
+
+    Map i of a sequence is bitwise the map of images[i] alone.
+    """
+    feats = nn.stack_infer(encoder.features, encoder.store, image_batch(images))
+    return feats[0] if isinstance(images, SpectralImage) else feats
 
 
 def save_encoder(encoder: ModalityEncoder, path: str) -> None:

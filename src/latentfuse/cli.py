@@ -31,16 +31,15 @@ import sys
 import numpy as np
 
 from . import baseline as baseline_mod
-from . import binio, costmodel, hostinfo, pipeline
-from . import nnkernel as nn
+from . import binio, costmodel, hostinfo, pipeline, vqvae
 from .errors import DataError, NumericError, TruncatedPayloadError, UsageError
 from .fusion import (ClassifierConfig, SequenceSample, evaluate, load_head,
                      save_head, train_classifier, write_training_curve)
 from .ingest import (Window, load_labels, load_stream, prepare_stream,
                      window_stream)
-from .spectral import TAPERS, SpectralConfig, load_image, spectral_image
-from .vqvae import (GRID, Codebook, VqVaeConfig, build_model, encode_image,
-                    load_model, save_model, train_vqvae, write_loss_curve)
+from .spectral import TAPERS, SpectralConfig, load_image
+from .vqvae import (GRID, Codebook, VqVaeConfig, build_model, load_model,
+                    save_model, train_vqvae, write_loss_curve)
 
 log = logging.getLogger(__name__)
 
@@ -377,13 +376,13 @@ def cmd_encode(args: argparse.Namespace) -> int:
     _log_config(cfg, "encode")
     model = load_model(args.model)
     windows, window_len = read_dataset(args.data)
-    spectral_cfg = cfg.spectral()
-    items = [(name, w) for name in sorted(windows) for w in windows[name]]
-    codes = nn.map_windows(
-        lambda item: encode_image(model, spectral_image(item[1], spectral_cfg)).indices,
-        items)
+    ordered = {name: windows[name] for name in sorted(windows)}
+    codes = pipeline.encode_windows(
+        lambda name, images: [vqvae.quantize(z, model.codebook).indices
+                              for z in vqvae.encode(model, images)],
+        ordered, cfg.spectral())
     entries = [LatentEntry(name, w.start_index, w.label, indices)
-               for (name, w), indices in zip(items, codes)]
+               for name, ws in ordered.items() for w, indices in zip(ws, codes[name])]
     write_latents(args.out, entries, model.codebook, GRID)
     log.info("encoded %d windows -> %s", len(entries), args.out)
     return 0

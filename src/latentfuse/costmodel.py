@@ -226,6 +226,8 @@ def pipeline_cost(kind: str, m: int, embed_dim: int = 16, codebook_size: int = 1
     names = list(modalities) if modalities else [f"mod{i}" for i in range(m)]
     if len(names) != m:
         raise UsageError(f"got {len(names)} modality names for m={m}")
+    if len(set(names)) != m:
+        raise UsageError(f"modality names {names} repeat a modality")
 
     pre = CostReport()
     one_window = preprocess_cost(window_len, spectral_cfg)

@@ -30,11 +30,12 @@ Conventions, pinned for cross-run reproducibility:
 - stack_forward keeps every layer's cache for stack_backward. stack_infer is
   the cache-free inference pass: its scratch and activations live in the
   calling thread's Arena, reused from call to call, and its result is
-  bitwise stack_forward's.
-- map_windows runs independent items (a request's windows, a head batch's
-  time steps, a training conv's image ranges) on every idle CPU: the
-  calling thread and the workers of one persistent pool each take items
-  until none are left (docs/design.md, "Parallelism").
+  bitwise stack_forward's. Its convs unfold image by image into one
+  image's padded input and columns, so a batch adds only activations.
+- map_windows runs independent items (a request's window chunks, a head
+  batch's time steps, a training conv's image ranges) on every idle CPU:
+  the calling thread and the workers of one persistent pool each take
+  items until none are left (docs/design.md, "Parallelism").
 - conv2d pads its input into (N, H+2p, W+2p, C), unfolds each output
   pixel's patch as k runs of k*C contiguous floats, and runs one
   (P, k*k*C) @ (k*k*C, O) GEMM per image straight into its (N, P, O)
@@ -504,7 +505,7 @@ def _submit(workers: int, task: Callable[[], None]) -> list[Future]:
 def map_windows(fn: Callable, items: Iterable) -> list:
     """[fn(x) for x in items], with the items spread over window_runners() threads.
 
-    The items are a request's windows, a head batch's time steps or a
+    The items are a request's window chunks, a head batch's time steps or a
     training conv's image ranges. The calling thread and n - 1 pool workers
     take the next unclaimed item until none is left, and each result lands
     at its item's index. fn must be safe to run on several threads at once
@@ -598,17 +599,17 @@ def _add_weight_grad(store: ParamStore, name: str, grad_rows: np.ndarray,
 
 
 def _conv_ranges(x: np.ndarray, rows: np.ndarray, k: int, s: int, p: int, out: np.ndarray,
-                 ranges: list[range], arena: Arena | None = None,
+                 ranges: list[range],
                  then: Callable[[slice], None] | None = None) -> np.ndarray:
     """Multiply each image's k x k, stride-s, padding-p patches of x by
     rows.T into out (n, P, O), and return the columns (`_im2col`).
 
     rows is the (O, k*k*c) weight in `_weight_rows` order. The padded input
-    and the columns are allocated here for the whole batch, as blocks of
-    `arena` with one; each runner of the map pads, unfolds and multiplies
-    one image range, one GEMM per image, then runs then(part) on it.
+    and the columns are allocated here for the whole batch, since training
+    caches them; each runner of the map pads, unfolds and multiplies one
+    image range, one GEMM per image, then runs then(part) on it.
     """
-    xp, cols = _unfold_buffers(x.shape, k, s, p, x.dtype, arena)
+    xp, cols = _unfold_buffers(x.shape, k, s, p, x.dtype)
 
     def run(r: range) -> None:
         part = slice(r.start, r.stop)
@@ -619,6 +620,25 @@ def _conv_ranges(x: np.ndarray, rows: np.ndarray, k: int, s: int, p: int, out: n
 
     map_windows(run, ranges)
     return cols
+
+
+def _conv_images(x: np.ndarray, rows: np.ndarray, k: int, s: int, p: int, out: np.ndarray,
+                 arena: Arena, then: Callable[[slice], None] | None = None) -> None:
+    """`_conv_ranges`' inference form, on the calling thread: pad, unfold and
+    multiply image by image into one single-image padded input and column
+    block of `arena`, then run then(part) on that image.
+
+    A batch-n pass so holds one image's columns, not n. Each GEMM is the
+    per-image GEMM of `_conv_ranges`, so the result is bitwise. The padded
+    block is zeroed once; each image overwrites only its interior.
+    """
+    xp, cols = _unfold_buffers((1,) + x.shape[1:], k, s, p, x.dtype, arena)
+    for i in range(x.shape[0]):
+        part = slice(i, i + 1)
+        _unfold(x[part], xp, cols, k, s, p)
+        np.matmul(cols, rows.T, out=out[part])
+        if then is not None:
+            then(part)
 
 
 # ---------------------------------------------------------------------------
@@ -690,12 +710,9 @@ def _unfold(x: np.ndarray, xp: np.ndarray, cols: np.ndarray, k: int, s: int, p: 
     cols[part].reshape(patches.shape)[...] = patches
 
 
-def _im2col(x: np.ndarray, k: int, s: int, p: int, arena: Arena | None = None) -> np.ndarray:
-    """Patch columns (n, P, k*k*c), in `_unfold_buffers`' order.
-
-    With an arena, the padded input and the columns are arena blocks.
-    """
-    xp, cols = _unfold_buffers(x.shape, k, s, p, x.dtype, arena)
+def _im2col(x: np.ndarray, k: int, s: int, p: int) -> np.ndarray:
+    """Patch columns (n, P, k*k*c), in `_unfold_buffers`' order."""
+    xp, cols = _unfold_buffers(x.shape, k, s, p, x.dtype)
     _unfold(x, xp, cols, k, s, p)
     return cols
 
@@ -757,7 +774,8 @@ def _depth_to_space(grids: np.ndarray, s: int, p: int, out: np.ndarray) -> None:
 
 
 def _conv_adjoint(g: np.ndarray, w: np.ndarray, s: int, p: int, out: np.ndarray,
-                  ranges: list[range], arena: Arena | None = None) -> np.ndarray:
+                  ranges: list[range] | None = None, arena: Arena | None = None
+                  ) -> np.ndarray:
     """The adjoint of a stride-s, padding-p conv2d with weight w (A, B, k, k),
     applied to g (n, A, ho, wo), into out (n, B, h, w): conv_transpose2d's
     forward and conv2d's input gradient.
@@ -766,7 +784,8 @@ def _conv_adjoint(g: np.ndarray, w: np.ndarray, s: int, p: int, out: np.ndarray,
     q - 1 and the `_phase_weight`, whose s*s*B output channels are the
     phases of out, interleaved by `_depth_to_space`. Through
     `_conv_ranges`, each runner of the map unfolds, multiplies and
-    interleaves one image range; the buffers are blocks of `arena` with one.
+    interleaves one image range. With an arena, `_conv_images` does that
+    image by image, and every buffer is an arena block.
     """
     n, a, ho, wo = g.shape
     q = -(-w.shape[2] // s)
@@ -777,9 +796,14 @@ def _conv_adjoint(g: np.ndarray, w: np.ndarray, s: int, p: int, out: np.ndarray,
     phases = empty((n, ha * wa, rows.shape[0]), np.result_type(rows, g))
     grids = phases.reshape(n, ha, wa, s, s, w.shape[1])
     dst = out.transpose(0, 2, 3, 1)
-    _conv_ranges(g, rows, q, 1, q - 1, phases, ranges, arena,
-                 lambda part: _depth_to_space(grids[part], s, p, dst[part]))
-    if arena is not None:
+
+    def interleave(part: slice) -> None:
+        _depth_to_space(grids[part], s, p, dst[part])
+
+    if arena is None:
+        _conv_ranges(g, rows, q, 1, q - 1, phases, ranges, interleave)
+    else:
+        _conv_images(g, rows, q, 1, q - 1, phases, arena, interleave)
         arena.release(mark)
     return out
 
@@ -804,8 +828,9 @@ def forward(desc: LayerDescriptor, store: ParamStore, x, arena: Arena | None = N
 
     With an arena the call is an inference step, bitwise the plain one:
     conv2d, conv_transpose2d, relu and residual_block take their scratch and
-    output from the arena and return no cache (None), and relu overwrites an
-    input that the arena owns. A residual block's inner stack starts with a
+    output from the arena and return no cache (None), convs unfold one image
+    at a time (`_conv_images`), and relu overwrites an input that the arena
+    owns. A residual block's inner stack starts with a
     conv, which never writes its input, so the block's input survives for
     the skip add. The other kinds run as without an arena.
     """
@@ -822,7 +847,7 @@ def forward(desc: LayerDescriptor, store: ParamStore, x, arena: Arena | None = N
                                            _batch_ranges(n)))
         else:
             mark = arena.mark()
-            _conv_ranges(x, _weight_rows(w, arena), k, s, p, pixels, [range(n)], arena)
+            _conv_images(x, _weight_rows(w, arena), k, s, p, pixels, arena)
             arena.release(mark)
             cache = None
         pixels += b
@@ -834,8 +859,10 @@ def forward(desc: LayerDescriptor, store: ParamStore, x, arena: Arena | None = N
         b = store.values[f"{desc.name}.b"]
         n = x.shape[0]
         out = _activation((n,) + out_shape(desc, x.shape[1:]), np.result_type(w, x), arena)
-        ranges = _batch_ranges(n) if arena is None else [range(n)]
-        _conv_adjoint(x, w, desc.stride, desc.padding, out, ranges, arena)
+        if arena is None:
+            _conv_adjoint(x, w, desc.stride, desc.padding, out, _batch_ranges(n))
+        else:
+            _conv_adjoint(x, w, desc.stride, desc.padding, out, arena=arena)
         out += b[:, None, None]
         return out, (x if arena is None else None)
 

@@ -6,34 +6,38 @@ magnitude channel, and the two runnable systems:
 - UnifiedSystem: one shared frozen encoder applied to every modality.
 - baseline.BaselineSystem: one feature extractor per modality.
 
-Both offer the same two methods, encode(modality, image), which returns a
-(D, 16, 16) latent array, and parameter_stores(modalities), so they share
-the fusion head, the evaluation code, and the cost model; the only
-difference is how many encoder parameter sets exist (counted structurally
-by encoder_loads, which inspects distinct parameter stores rather than
-trusting a label).
+Both offer the same two methods, encode(modality, images), which runs one
+encoder pass over a batch of one modality's images and returns one
+(D, 16, 16) latent array per image, and parameter_stores(modalities), so
+they share the fusion head, the evaluation code, and the cost model; the
+only difference is how many encoder parameter sets exist (counted
+structurally by encoder_loads, which inspects distinct parameter stores
+rather than trusting a label).
 
 aligned_sequences is the one start-keyed aligner, behind both
-stream_to_sequences and the CLI's .lsfl reader. stream_to_sequences
-encodes a stream's windows through nnkernel.map_windows, on every idle CPU
-(docs/design.md, "Parallelism").
+stream_to_sequences and the CLI's .lsfl reader. encode_windows, behind
+stream_to_sequences and the CLI's encode, maps chunks of up to
+CHUNK_WINDOWS consecutive windows of one modality over nnkernel.map_windows,
+on every idle CPU, one encoder pass per chunk (docs/design.md,
+"Parallelism").
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import nnkernel as nn
+from . import vqvae
 from .errors import DataError, UsageError
 from .fusion import ClassifierHead, SequenceSample, fuse, group_sequences
 from .ingest import Channel, MultimodalStream, Window, window_stream
 from .spectral import SpectralConfig, SpectralImage, spectral_image
 from .synthetic import make_stream
-from .vqvae import VqVaeModel, encode_image
 
 # cumulative fusion permutations; entry m fuses the first m modality groups
 PERMUTATIONS: dict[int, tuple[str, ...]] = {
@@ -46,6 +50,9 @@ PERMUTATIONS: dict[int, tuple[str, ...]] = {
 }
 
 ACC_AXES = ("AccX", "AccY", "AccZ")
+
+# consecutive windows of one modality that one encoder pass takes
+CHUNK_WINDOWS = 3
 
 
 @dataclass
@@ -60,12 +67,14 @@ class PipelineConfig:
 class UnifiedSystem:
     """One shared frozen encoder applied to every modality."""
 
-    model: VqVaeModel
+    model: vqvae.VqVaeModel
     head: ClassifierHead | None = None
 
-    def encode(self, modality: str, image: SpectralImage) -> np.ndarray:
-        """The shared quantized latent (D, 16, 16), whatever the modality."""
-        return encode_image(self.model, image).quantized
+    def encode(self, modality: str, images: Sequence[SpectralImage]) -> list[np.ndarray]:
+        """The shared quantized latent (D, 16, 16) of each image, whatever the
+        modality: one encoder pass, then one quantize per image."""
+        return [vqvae.quantize(z, self.model.codebook).quantized
+                for z in vqvae.encode(self.model, images)]
 
     def parameter_stores(self, modalities: tuple[str, ...]) -> list[nn.ParamStore]:
         """The single shared store, however many modalities use it."""
@@ -80,6 +89,10 @@ def permutation_modalities(permutation: int | list[str] | tuple[str, ...]) -> tu
         return PERMUTATIONS[permutation]
     if not permutation:
         raise UsageError("modality list must not be empty")
+    repeated = [m for m, n in Counter(permutation).items() if n > 1]
+    if repeated:
+        raise UsageError(f"modality {', '.join(map(repr, repeated))} is listed more "
+                         f"than once")
     return tuple(permutation)
 
 
@@ -144,12 +157,32 @@ def stream_to_sequences(system, stream: MultimodalStream,
     sub = MultimodalStream({m: stream.channels[m] for m in modalities},
                            labels=stream.labels)
     windows = window_stream(sub, cfg.window_len, cfg.stride)
-    latents = iter(nn.map_windows(
-        lambda mw: system.encode(mw[0], spectral_image(mw[1], cfg.spectral)),
-        [(m, w) for m, ws in windows.items() for w in ws]))
-    coded = {m: {w.start_index: (next(latents), w.label) for w in ws}
+    latents = encode_windows(system.encode, windows, cfg.spectral)
+    coded = {m: {w.start_index: (z, w.label) for w, z in zip(ws, latents[m])}
              for m, ws in windows.items()}
     return aligned_sequences(coded, modalities, cfg.seq_len)
+
+
+def encode_windows(encode: Callable[[str, list[SpectralImage]], Sequence],
+                   windows: Mapping[str, Sequence[Window]],
+                   spectral: SpectralConfig) -> dict[str, list]:
+    """encode(modality, images) over every window, one chunk per map item.
+
+    A chunk is a run of up to CHUNK_WINDOWS consecutive windows of one
+    modality. Its runner renders the images one window at a time, and
+    encode returns one result per image, so each modality's results come
+    back in window order. Chunks never mix modalities: a baseline system
+    encodes each modality with its own extractor.
+    """
+    chunks = [(m, ws[i:i + CHUNK_WINDOWS]) for m, ws in windows.items()
+              for i in range(0, len(ws), CHUNK_WINDOWS)]
+    done = nn.map_windows(
+        lambda chunk: encode(chunk[0], [spectral_image(w, spectral) for w in chunk[1]]),
+        chunks)
+    results: dict[str, list] = {m: [] for m in windows}
+    for (m, _), out in zip(chunks, done):
+        results[m].extend(out)
+    return results
 
 
 def encoding_runs(system, m: int, repeat: int,
@@ -171,6 +204,6 @@ def encoding_runs(system, m: int, repeat: int,
     for _ in range(repeat + 1):
         t0 = time.perf_counter()
         for name, image in images:
-            system.encode(name, image)
+            system.encode(name, [image])
         runs.append(time.perf_counter() - t0)
     return runs[1:]

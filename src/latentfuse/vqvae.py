@@ -22,6 +22,7 @@ import logging
 import math
 import struct
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -139,14 +140,27 @@ def build_model(codebook_size: int = 128, embed_dim: int = 16, seed: int = 0,
     return VqVaeModel(encoder, decoder, store, Codebook(store.values["codebook"]))
 
 
-def encode(model: VqVaeModel, image: SpectralImage) -> np.ndarray:
-    """Pre-quantization latent z_e for one image, shape (D, 16, 16)."""
-    z = nn.stack_infer(model.encoder, model.store,
-                       np.asarray(image.pixels[None], dtype=np.float32))
-    if z.shape != (1, model.embed_dim, GRID, GRID):
+def encode(model: VqVaeModel, images: SpectralImage | Sequence[SpectralImage]
+           ) -> np.ndarray:
+    """Pre-quantization latent z_e: (D, 16, 16) for one image, (n, D, 16, 16)
+    for a sequence of n, in one encoder pass.
+
+    Latent i of a sequence is bitwise the latent of images[i] alone.
+    """
+    z = nn.stack_infer(model.encoder, model.store, image_batch(images))
+    if z.shape[1:] != (model.embed_dim, GRID, GRID):
         raise UsageError(f"encoder produced {z.shape[1:]}, expected "
                          f"({model.embed_dim}, {GRID}, {GRID})")
-    return z[0]
+    return z[0] if isinstance(images, SpectralImage) else z
+
+
+def image_batch(images: SpectralImage | Sequence[SpectralImage]) -> np.ndarray:
+    """One image, or a sequence of n, as a float32 (n, 3, H, W) encoder input."""
+    if isinstance(images, SpectralImage):
+        return np.asarray(images.pixels[None], dtype=np.float32)
+    if not images:
+        raise UsageError("no images to encode")
+    return np.asarray(np.stack([im.pixels for im in images]), dtype=np.float32)
 
 
 def quantize(z_e: np.ndarray, codebook: Codebook) -> LatentCode:

@@ -227,6 +227,17 @@ def test_latents_bad_modality_id(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_repeated_modality_exits_one(tmp_path, capsys):
+    path = tmp_path / "codes.lsfl"
+    write_latents(str(path), _sample_entries(starts=(0, 96, 192)), CODEBOOK, 3)
+    code = main(["train-classifier", "--latents", str(path), "--modalities", "ECG,ECG",
+                 "--out", str(tmp_path / "head.lsfw")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "'ECG'" in err
+    assert not (tmp_path / "head.lsfw").exists()
+
+
 def _write_sample_container(path, fmt):
     if fmt == "lsfd":
         write_dataset(str(path), _sample_windows(), 16)

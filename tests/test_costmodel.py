@@ -225,6 +225,8 @@ def test_pipeline_cost_validates_arguments():
         costmodel.pipeline_cost("unified", 0)
     with pytest.raises(UsageError):
         costmodel.pipeline_cost("unified", 2, modalities=["ECG"])
+    with pytest.raises(UsageError, match="repeat"):
+        costmodel.pipeline_cost("baseline", 2, modalities=("ECG", "ECG"))
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,35 @@ def test_arena_repeat_calls_add_no_bytes(batch):
     assert after <= nn.ARENA_LIMIT
 
 
+def _conv_output_bytes(descs, shape) -> int:
+    """float32 bytes of one image's conv outputs: the activations an arena
+    pass allocates (relu and the residual add write in place)."""
+    total = 0
+    for d in descs:
+        if d.kind == "residual_block":
+            total += _conv_output_bytes(d.inner, shape)
+        shape = nn.out_shape(d, shape)
+        if d.kind in ("conv2d", "conv_transpose2d"):
+            total += 4 * int(np.prod(shape))
+    return total
+
+
+@pytest.mark.parametrize("name", ["encoder", "baseline"])
+def test_inference_arena_keeps_one_images_columns(name):
+    descs, store = _stacks()[name]
+    images = synthetic.make_images(4, seed=9)
+
+    def arena_after(batch):
+        nn.stack_infer(descs, store, images[:batch])
+        return nn.thread_arena().nbytes
+
+    one = _in_fresh_thread(lambda: arena_after(1))
+    four = _in_fresh_thread(lambda: arena_after(4))
+    extra = 3 * _conv_output_bytes(descs, images.shape[1:])
+    # three more images add their activations, and no padded input or columns
+    assert one < four <= one + extra, (one, four, extra)
+
+
 def test_threads_encoding_at_once_reproduce_single_thread_bits():
     # more threads than the two cores, switching often, all on one model
     model = vqvae.build_model(32, 16, seed=0)

@@ -11,7 +11,8 @@ import pytest
 
 from latentfuse import baseline, fusion, hostinfo, pipeline, synthetic, vqvae
 from latentfuse import nnkernel as nn
-from latentfuse.cli import LatentEntry, main, sequences_from_latents, write_dataset
+from latentfuse.cli import (LatentEntry, main, sequences_from_latents, write_dataset,
+                           write_latents)
 from latentfuse.errors import DataError, UsageError
 from latentfuse.ingest import slide_windows, window_stream
 from latentfuse.spectral import spectral_image
@@ -105,15 +106,15 @@ def test_stream_shorter_than_one_sequence_is_data_error():
 
 
 class _CountingSystem:
-    """Forwards to a system and records which modalities it encodes."""
+    """Forwards to a system and records the modality of each image it encodes."""
 
     def __init__(self, system):
         self.system = system
         self.encoded = []
 
-    def encode(self, modality, image):
-        self.encoded.append(modality)
-        return self.system.encode(modality, image)
+    def encode(self, modality, images):
+        self.encoded += [modality] * len(images)
+        return self.system.encode(modality, images)
 
     def parameter_stores(self, modalities):
         return self.system.parameter_stores(modalities)
@@ -135,6 +136,37 @@ def test_encoding_runs_missing_encoder_fails_untimed():
     with pytest.raises(UsageError):
         pipeline.encoding_runs(system, 2, 3)
     assert system.encoded == []
+
+
+def test_repeated_modality_is_usage_error():
+    with pytest.raises(UsageError, match="'ECG'"):
+        pipeline.permutation_modalities(["ECG", "ECG"])
+    with pytest.raises(UsageError, match="'EMG'"):
+        pipeline.permutation_modalities(("EMG", "ECG", "EMG"))
+    system = pipeline.UnifiedSystem(vqvae.build_model(32, 8, seed=0))
+    stream = synthetic.make_stream(n_samples=800, seed=3)
+    with pytest.raises(UsageError, match="'ECG'"):
+        pipeline.stream_to_sequences(system, stream, ["ECG", "ECG"])
+    assert pipeline.permutation_modalities(["EMG", "ECG"]) == ("EMG", "ECG")
+
+
+def test_encode_windows_keeps_modalities_apart_in_window_order(runners, monkeypatch):
+    runners(2)
+    windows = {"A": list(range(5)), "B": list(range(10, 13)), "C": [20]}
+    chunks = []
+
+    def encode(modality, images):
+        chunks.append((modality, len(images)))
+        return [(modality, im) for im in images]
+
+    # each "image" is its window, so the results show which window they came from
+    monkeypatch.setattr(pipeline, "spectral_image", lambda w, cfg: w)
+    got = pipeline.encode_windows(encode, windows, None)
+    assert got == {m: [(m, w) for w in ws] for m, ws in windows.items()}
+    size = pipeline.CHUNK_WINDOWS
+    assert sorted(chunks) == sorted(
+        (m, len(ws[i:i + size])) for m, ws in windows.items()
+        for i in range(0, len(ws), size))
 
 
 # ---------------------------------------------------------------------------
@@ -206,38 +238,55 @@ def test_map_inside_a_map_runs_serially(runners):
 
 @pytest.mark.parametrize("kind", ["unified", "baseline"])
 def test_stream_to_sequences_parallel_is_bitwise_serial(runners, kind):
-    cfg = pipeline.PipelineConfig(seq_len=3)
-    stream = synthetic.make_stream(n_samples=744, segment_len=300, seed=3)
+    # window chunks at 1, 2 and 3 runners against a per-window loop, with 8,
+    # 1, 3 and 5 windows per modality, so some chunks are short
     system = _systems()[kind]
     head = fusion.build_head(len(MODALITIES) * 16, seed=0)
-    results = {}
-    for n in (1, 2, 3):
-        runners(n)
-        samples = pipeline.stream_to_sequences(system, stream, 6, cfg)
-        results[n] = ([(s.label, [step.tensor.tobytes() for step in s.steps])
-                       for s in samples],
-                      [fusion.classify(head, s) for s in samples])
-    assert len(results[1][0]) == 2
-    assert results[2] == results[1]
-    assert results[3] == results[1]
+    cases = [(synthetic.make_stream(n_samples=744, segment_len=300, seed=3), 3)]
+    cases += [(synthetic.make_stream(n_samples=128 + 96 * (k - 1), seed=k), 1)
+              for k in (1, 3, 5)]
+    counts = []
+    for stream, seq_len in cases:
+        cfg = pipeline.PipelineConfig(seq_len=seq_len)
+        derived = pipeline.derive_acc_magnitude(stream)
+        coded = {m: {w.start_index: (_reference_latent(kind, system, m, w, cfg), w.label)
+                     for w in slide_windows(derived.channels[m], derived.labels,
+                                            cfg.window_len, cfg.stride)}
+                 for m in MODALITIES}
+        want = pipeline.aligned_sequences(coded, MODALITIES, seq_len)
+        want = ([(s.label, [step.tensor.tobytes() for step in s.steps]) for s in want],
+                [fusion.classify(head, s) for s in want])
+        for n in (1, 2, 3):
+            runners(n)
+            samples = pipeline.stream_to_sequences(system, stream, 6, cfg)
+            assert ([(s.label, [step.tensor.tobytes() for step in s.steps])
+                     for s in samples],
+                    [fusion.classify(head, s) for s in samples]) == want
+        counts.append((len(coded["ECG"]), len(want[0])))
+    assert counts == [(8, 2), (1, 1), (3, 3), (5, 5)]
 
 
 def test_encode_command_parallel_is_bitwise_serial(tmp_path, runners):
+    # 1, 3 and 5 windows of three modalities, against a per-window loop
     stream = pipeline.derive_acc_magnitude(synthetic.make_stream(n_samples=600, seed=4))
-    windows = {m: ws for m, ws in window_stream(stream, 128, 96).items()
-               if m in ("ECG", "EDA", "Resp")}
+    windows = window_stream(stream, 128, 96)
+    windows = {"ECG": windows["ECG"][:1], "EDA": windows["EDA"][:3],
+               "Resp": windows["Resp"][:5]}
     data = str(tmp_path / "data.lsfd")
     write_dataset(data, windows, 128)
     model = str(tmp_path / "model.lsfw")
     vqvae.save_model(vqvae.build_model(32, 8, seed=2), model)
-    written = {}
+    loaded = vqvae.load_model(model)
+    entries = [LatentEntry(m, w.start_index, w.label,
+                           vqvae.encode_image(loaded, spectral_image(w)).indices)
+               for m in sorted(windows) for w in windows[m]]
+    want = tmp_path / "want.lsfl"
+    write_latents(str(want), entries, loaded.codebook, vqvae.GRID)
     for n in (1, 2, 3):
         runners(n)
         out = tmp_path / f"codes{n}.lsfl"
         assert main(["encode", "--model", model, "--data", data, "--out", str(out)]) == 0
-        written[n] = out.read_bytes()
-    assert written[2] == written[1]
-    assert written[3] == written[1]
+        assert out.read_bytes() == want.read_bytes()
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -273,12 +322,12 @@ def test_map_windows_reuses_threads_and_arenas(runners, n):
     arenas = {}
     all_in = threading.Barrier(n)
 
-    def encode_first_waits(modality, image):
-        # the warm call: every runner takes an item before any goes on
+    def encode_first_waits(modality, images):
+        # the warm call: every runner takes a chunk before any goes on
         if threading.get_ident() not in arenas:
             arenas[threading.get_ident()] = nn.thread_arena()
             all_in.wait(timeout=30)
-        return baseline.BaselineSystem.encode(system, modality, image)
+        return baseline.BaselineSystem.encode(system, modality, images)
 
     system.encode = encode_first_waits
     pipeline.stream_to_sequences(system, stream, 6)
@@ -290,9 +339,9 @@ def test_map_windows_reuses_threads_and_arenas(runners, n):
 
     used = set()
 
-    def encode_noting_thread(modality, image):
+    def encode_noting_thread(modality, images):
         used.add(threading.get_ident())
-        return baseline.BaselineSystem.encode(system, modality, image)
+        return baseline.BaselineSystem.encode(system, modality, images)
 
     system.encode = encode_noting_thread
     for _ in range(2):
