@@ -1,11 +1,10 @@
 """Host facts that size nnkernel's map: how many threads may run at once.
 
-cpu_count is the number of CPUs this process may run on. blas_threads is
-the thread count of the OpenBLAS that numpy loaded, read from the library
-itself: the shared object is found in this process's memory maps and
-asked through ctypes, so the count is what OpenBLAS settled on at load
-time (OPENBLAS_NUM_THREADS, or one thread per CPU by default), and it
-follows later changes made through the library's own API.
+cpu_count is the number of CPUs this process may run on. The OpenBLAS
+that numpy loaded is found in this process's memory maps and reached
+through ctypes: blas_threads reads its thread count and set_blas_threads
+sets it, through the library's own API. nnkernel sets one thread when it
+is imported, so OPENBLAS_NUM_THREADS does not decide the count.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ def cpu_count() -> int:
 
 
 @functools.cache
-def _thread_getter():
-    """OpenBLAS's get-num-threads function, or None when no OpenBLAS is loaded."""
+def _openblas():
+    """OpenBLAS's (get, set) num-threads functions, or None without OpenBLAS."""
     import numpy  # noqa: F401  (loads the BLAS whose maps are read below)
 
     try:
@@ -42,15 +41,22 @@ def _thread_getter():
         except OSError:
             continue
         for name in _THREADS:
-            fn = getattr(lib, name, None)
-            if fn is not None:
-                fn.restype = ctypes.c_int
-                fn.argtypes = []
-                return fn
+            get = getattr(lib, name, None)
+            put = getattr(lib, name.replace("_get_", "_set_"), None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return get, put
     return None
 
 
 def blas_threads() -> int | None:
     """Threads the loaded OpenBLAS runs a call on, or None when unknown."""
-    getter = _thread_getter()
-    return None if getter is None else int(getter())
+    fns = _openblas()
+    return None if fns is None else int(fns[0]())
+
+
+def set_blas_threads(n: int) -> None:
+    """Run every later OpenBLAS call on n threads; nothing without OpenBLAS."""
+    if (fns := _openblas()) is not None:
+        fns[1](n)

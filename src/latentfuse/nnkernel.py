@@ -32,10 +32,11 @@ Conventions, pinned for cross-run reproducibility:
   calling thread's Arena, reused from call to call, and its result is
   bitwise stack_forward's. Its convs unfold image by image into one
   image's padded input and columns, so a batch adds only activations.
-- map_windows runs independent items (a request's window chunks, a head
-  batch's time steps, a training conv's image ranges) on every idle CPU:
-  the calling thread and the workers of one persistent pool each take
-  items until none are left (docs/design.md, "Parallelism").
+- Importing this module sets OpenBLAS to one thread. map_windows runs
+  independent items (a request's window chunks, a head batch's time
+  steps, a training conv's image ranges) on every CPU instead: the
+  calling thread and the workers of one persistent pool each take items
+  until none are left (docs/design.md, "Parallelism").
 - conv2d pads its input into (N, H+2p, W+2p, C), unfolds each output
   pixel's patch as k runs of k*C contiguous floats, and runs one
   (P, k*k*C) @ (k*k*C, O) GEMM per image straight into its (N, P, O)
@@ -442,17 +443,15 @@ def thread_arena() -> Arena:
 # The window map
 # ---------------------------------------------------------------------------
 
-def window_runners() -> int:
-    """Threads that may run map items at once: max(1, CPUs // BLAS threads).
+# One OpenBLAS thread for every GEMM the library runs, the first included,
+# whatever OPENBLAS_NUM_THREADS says: the map spreads work over the CPUs.
+hostinfo.set_blas_threads(1)
 
-    Each runner's GEMMs run on the BLAS's own threads, so more runners than
-    CPUs / BLAS threads would only oversubscribe the CPUs. An unknown BLAS
-    gives 1, and so does OpenBLAS at its default of one thread per CPU.
-    """
-    blas = hostinfo.blas_threads()
-    if blas is None or blas < 1:
-        return 1
-    return max(1, hostinfo.cpu_count() // blas)
+
+def window_runners() -> int:
+    """Threads that may run map items at once: every CPU at one OpenBLAS
+    thread, else 1, since any other BLAS spreads each GEMM over the CPUs."""
+    return hostinfo.cpu_count() if hostinfo.blas_threads() == 1 else 1
 
 
 _pool: ThreadPoolExecutor | None = None
@@ -490,8 +489,7 @@ def _ensure_pool(workers: int) -> ThreadPoolExecutor:
             _pool.submit(start.wait)
         start.wait()
         _pool_workers = workers
-        log.info("window map: %d runners (%d CPUs, %d BLAS threads)",
-                 workers + 1, hostinfo.cpu_count(), hostinfo.blas_threads())
+        log.info("window map: %d runners", workers + 1)
     return _pool
 
 
