@@ -1,9 +1,10 @@
-"""Bounds-checked reads from the bytes of a binary file.
+"""Checked reads of the package's input files.
 
 The .lsfd, .lsfl and .lsfw readers load their files through read_file
 and unpack headers and names through unpack and read_name, so a missing,
 mislabelled, cut or corrupted file ends in a DataError naming the path
-(exit code 2), never in a struct.error or UnicodeDecodeError.
+(exit code 2), never in a struct.error or UnicodeDecodeError. The CSV and
+config readers decode their text through read_text, for the same reason.
 """
 
 from __future__ import annotations
@@ -31,6 +32,20 @@ def read_file(path: str, magic: bytes, version: int, what: str,
         raise VersionError(f"{path}: unsupported {what} version {found}; "
                            f"{remedy} to write version {version}")
     return data, offset
+
+
+def read_text(path: str, what: str) -> str:
+    """The text of a UTF-8 `what` file; a byte that is not UTF-8 is a
+    DataError naming its line."""
+    if not os.path.exists(path):
+        raise DataError(f"no such {what}: {path}")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}: line {line_no}: not valid UTF-8") from None
 
 
 def unpack(fmt: str, data: bytes, offset: int, path: str,

@@ -15,13 +15,14 @@ File formats (full layouts in docs/formats.md):
   dimension D, grid size g, the K x D float32 codebook, modality name
   table, then per entry: modality id, start index, label, g x g u16 code
   indices. Readers rebuild each quantized tensor by codebook lookup.
-- .lsfw weights and .lsfi images are documented beside their modules.
+- .lsfw weights are documented beside their module.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import logging
 import os
 import statistics
@@ -37,7 +38,7 @@ from .fusion import (ClassifierConfig, SequenceSample, evaluate, load_head,
                      save_head, train_classifier, write_training_curve)
 from .ingest import (Window, load_labels, load_stream, prepare_stream,
                      window_stream)
-from .spectral import TAPERS, SpectralConfig, load_image
+from .spectral import TAPERS, SpectralConfig
 from .vqvae import (GRID, Codebook, VqVaeConfig, build_model, load_model,
                     save_model, train_vqvae, write_loss_curve)
 
@@ -103,32 +104,28 @@ class RunConfig:
         cfg = cls()
         if path is None:
             return cfg
-        if not os.path.exists(path):
-            raise DataError(f"no such config file: {path}")
         fields = {f.name: f.type for f in dataclasses.fields(cls)}
         casts = {"int": int, "float": float, "str": str}
         lines: dict[str, int] = {}
-        with open(path) as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{path}: line {line_no}: expected key=value")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key not in fields:
-                    raise UsageError(f"{path}: line {line_no}: unknown config key "
-                                     f"{key!r}")
-                try:
-                    setattr(cfg, key, casts[fields[key]](value))
-                except ValueError:
-                    raise UsageError(f"{path}: line {line_no}: bad value for "
-                                     f"{key}: {value!r}") from None
-                problem = _out_of_range(key, getattr(cfg, key))
-                if problem:
-                    raise UsageError(f"{path}: line {line_no}: {key} {problem}, "
-                                     f"got {value!r}")
-                lines[key] = line_no
+        text = binio.read_text(path, "config file")
+        for line_no, line in enumerate(io.StringIO(text), start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise UsageError(f"{path}: line {line_no}: expected key=value")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in fields:
+                raise UsageError(f"{path}: line {line_no}: unknown config key {key!r}")
+            try:
+                setattr(cfg, key, casts[fields[key]](value))
+            except ValueError:
+                raise UsageError(f"{path}: line {line_no}: bad value for {key}: "
+                                 f"{value!r}") from None
+            problem = _out_of_range(key, getattr(cfg, key))
+            if problem:
+                raise UsageError(f"{path}: line {line_no}: {key} {problem}, got {value!r}")
+            lines[key] = line_no
         if cfg.stride > cfg.window_len:
             line_no = max(lines.get("stride", 0), lines.get("window_len", 0))
             raise UsageError(f"{path}: line {line_no}: stride {cfg.stride} exceeds "
@@ -145,6 +142,13 @@ class RunConfig:
     def pipeline(self) -> pipeline.PipelineConfig:
         return pipeline.PipelineConfig(self.window_len, self.stride, self.seq_len,
                                        self.spectral())
+
+    def vqvae(self) -> VqVaeConfig:
+        return VqVaeConfig(self.codebook_size, self.embed_dim, self.beta, self.lr,
+                           self.steps, self.batch, self.seed)
+
+    def classifier(self) -> ClassifierConfig:
+        return ClassifierConfig(self.lr, self.epochs, self.batch, self.seed)
 
 
 def _log_config(cfg: RunConfig, command: str) -> None:
@@ -342,26 +346,21 @@ def cmd_dump(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_image_dir(path: str) -> np.ndarray:
-    files = sorted(f for f in os.listdir(path) if f.endswith(".lsfi"))
-    if not files:
-        raise DataError(f"{path}: no .lsfi image files found")
-    return np.stack([load_image(os.path.join(path, f)).pixels for f in files])
-
-
 def cmd_train_encoder(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_file(args.config)
     _log_config(cfg, "train-encoder")
     if args.synthetic < 0:
         raise UsageError(f"--synthetic must be at least 0, got {args.synthetic}")
-    if args.images:
-        images = _load_image_dir(args.images)
+    if args.data:
+        windows, _ = read_dataset(args.data)
+        ordered = {name: windows[name] for name in sorted(windows)}
+        rendered = pipeline.encode_windows(lambda name, images: images, ordered,
+                                           cfg.spectral())
+        images = vqvae.image_batch([im for ims in rendered.values() for im in ims])
     else:
         from .synthetic import make_images
         images = make_images(args.synthetic, cfg.seed)
-    vq_cfg = VqVaeConfig(cfg.codebook_size, cfg.embed_dim, cfg.beta, cfg.lr,
-                         cfg.steps, cfg.batch, cfg.seed)
-    model, curve = train_vqvae(images, vq_cfg)
+    model, curve = train_vqvae(images, cfg.vqvae())
     save_model(model, args.out)
     if args.curve:
         write_loss_curve(args.curve, curve)
@@ -403,8 +402,7 @@ def cmd_train_classifier(args: argparse.Namespace) -> int:
     entries, codebook = read_latents(args.latents)
     modalities = _resolve_modalities(args)
     samples = sequences_from_latents(entries, codebook, modalities, cfg.seq_len)
-    head, curve = train_classifier(
-        samples, ClassifierConfig(cfg.lr, cfg.epochs, cfg.batch, cfg.seed))
+    head, curve = train_classifier(samples, cfg.classifier())
     save_head(head, args.out)
     if args.curve:
         write_training_curve(args.curve, curve)
@@ -434,9 +432,7 @@ def _bench_metrics_rows(cfg: RunConfig) -> list[dict]:
     """Train and evaluate the unified pipeline per fusion size on synthetic data."""
     from .synthetic import make_images, make_stream
 
-    vq_cfg = VqVaeConfig(cfg.codebook_size, cfg.embed_dim, cfg.beta, cfg.lr,
-                         cfg.steps, cfg.batch, cfg.seed)
-    model, _ = train_vqvae(make_images(64, cfg.seed), vq_cfg)
+    model, _ = train_vqvae(make_images(64, cfg.seed), cfg.vqvae())
     system = pipeline.UnifiedSystem(model)
     pcfg = cfg.pipeline()
     train_stream = make_stream(seed=cfg.seed + 10)
@@ -445,8 +441,7 @@ def _bench_metrics_rows(cfg: RunConfig) -> list[dict]:
     for m in sorted(pipeline.PERMUTATIONS):
         train_samples = pipeline.stream_to_sequences(system, train_stream, m, pcfg)
         eval_samples = pipeline.stream_to_sequences(system, eval_stream, m, pcfg)
-        head, _ = train_classifier(
-            train_samples, ClassifierConfig(cfg.lr, cfg.epochs, cfg.batch, cfg.seed))
+        head, _ = train_classifier(train_samples, cfg.classifier())
         metrics = evaluate(head, eval_samples, cfg.threshold)
         rows.append({"m": m, "accuracy": metrics.accuracy, "f1": metrics.f1,
                      "auc": "" if metrics.auc is None else metrics.auc})
@@ -544,7 +539,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train-encoder", help="train the shared encoder")
     p.add_argument("--synthetic", type=int, default=0, metavar="N",
                    help="train on N generated generic images")
-    p.add_argument("--images", help="directory of .lsfi images instead")
+    p.add_argument("--data", help="train on a windowed dataset's (.lsfd) images instead")
     p.add_argument("--out", required=True, help="output weights (.lsfw)")
     p.add_argument("--curve", help="write per-step loss CSV here")
     p.add_argument("--config", help="key=value config file")
@@ -600,6 +595,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{base.__name__.removesuffix('Error').lower()} error: {exc}",
               file=sys.stderr)
         return EXIT_CODES[base]
+    except OSError as exc:
+        # a path the system cannot open, read or write is bad data too
+        name = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"data error: {name}{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CODES[DataError]
 
 
 if __name__ == "__main__":

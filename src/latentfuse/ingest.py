@@ -20,11 +20,11 @@ import csv
 import io
 import logging
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import binio
 from .errors import DataError, UsageError
 
 log = logging.getLogger(__name__)
@@ -92,16 +92,8 @@ class Window:
 
 
 def _csv_reader(path: str):
-    """csv.reader over a UTF-8 file; a byte that is not UTF-8 is a DataError."""
-    if not os.path.exists(path):
-        raise DataError(f"no such file: {path}")
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
-    except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"{path}: line {line_no}: not valid UTF-8") from None
+    """csv.reader over a UTF-8 file (`binio.read_text`)."""
+    return csv.reader(io.StringIO(binio.read_text(path, "file"), newline=""))
 
 
 def load_stream(path: str, schema: dict[str, str]) -> MultimodalStream:

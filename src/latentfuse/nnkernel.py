@@ -600,7 +600,7 @@ def _conv_ranges(x: np.ndarray, rows: np.ndarray, k: int, s: int, p: int, out: n
                  ranges: list[range],
                  then: Callable[[slice], None] | None = None) -> np.ndarray:
     """Multiply each image's k x k, stride-s, padding-p patches of x by
-    rows.T into out (n, P, O), and return the columns (`_im2col`).
+    rows.T into out (n, P, O), and return the (n, P, k*k*c) columns.
 
     rows is the (O, k*k*c) weight in `_weight_rows` order. The padded input
     and the columns are allocated here for the whole batch, since training
@@ -706,13 +706,6 @@ def _unfold(x: np.ndarray, xp: np.ndarray, cols: np.ndarray, k: int, s: int, p: 
     xp[part, p:p + h, p:p + w] = x[part].transpose(0, 2, 3, 1)
     patches = _windows(xp[part], k, s, ho, wo)
     cols[part].reshape(patches.shape)[...] = patches
-
-
-def _im2col(x: np.ndarray, k: int, s: int, p: int) -> np.ndarray:
-    """Patch columns (n, P, k*k*c), in `_unfold_buffers`' order."""
-    xp, cols = _unfold_buffers(x.shape, k, s, p, x.dtype)
-    _unfold(x, xp, cols, k, s, p)
-    return cols
 
 
 def _weight_rows(w: np.ndarray, arena: Arena | None = None) -> np.ndarray:
@@ -943,18 +936,18 @@ def backward(desc: LayerDescriptor, store: ParamStore, cache, grad_out, *,
                                 grad_in if need_grad_in else None)
 
     if desc.kind == "conv_transpose2d":
+        # the input gradient is the conv2d forward of grad_out with weight w,
+        # and the columns that conv unfolds give the weight gradient
         x = cache
-        n, a, h, wdt = x.shape
+        n = x.shape[0]
         w = store.values[f"{desc.name}.w"]
-        gcols = _im2col(grad_out, desc.kernel, desc.stride, desc.padding)
         store.accumulate(f"{desc.name}.b", _channel_rows(grad_out).sum(axis=0))
-
-        def grad_in() -> np.ndarray:
-            gx = np.matmul(gcols, _weight_rows(w).T)
-            return gx.reshape(n, h, wdt, a).transpose(0, 3, 1, 2)
-
-        return _add_weight_grad(store, f"{desc.name}.w", _channel_rows(x), gcols,
-                                grad_in if need_grad_in else None)
+        gx = _activation(x.shape, np.result_type(w, grad_out))
+        pixels = gx.transpose(0, 2, 3, 1).reshape(n, -1, desc.in_channels)
+        cols = _conv_ranges(grad_out, _weight_rows(w), desc.kernel, desc.stride,
+                            desc.padding, pixels, _batch_ranges(n))
+        _add_weight_grad(store, f"{desc.name}.w", _channel_rows(x), cols)
+        return gx if need_grad_in else None
 
     if desc.kind == "dense":
         (x,) = cache

@@ -16,7 +16,8 @@ rather than trusting a label).
 
 aligned_sequences is the one start-keyed aligner, behind both
 stream_to_sequences and the CLI's .lsfl reader. encode_windows, behind
-stream_to_sequences and the CLI's encode, maps chunks of up to
+stream_to_sequences, the CLI's encode and the CLI's training render
+(train-encoder --data, with an identity encode), maps chunks of up to
 CHUNK_WINDOWS consecutive windows of one modality over nnkernel.map_windows,
 on every idle CPU, one encoder pass per chunk (docs/design.md,
 "Parallelism").

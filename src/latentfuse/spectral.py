@@ -19,22 +19,17 @@ Reproducibility pins, documented in docs/formats.md:
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .errors import (BadMagicError, DataError, NumericError,
-                     TruncatedPayloadError, UsageError)
+from .errors import DataError, NumericError, UsageError
 from .ingest import Window
 
 IMAGE_SIZE = 128
 TAPERS = ("hann", "rect")
 _EPS = 1e-12
-
-_IMAGE_MAGIC = b"LSFI"
 
 
 @dataclass(frozen=True)
@@ -188,34 +183,3 @@ def spectral_image(window: Window, cfg: SpectralConfig = SpectralConfig()) -> Sp
     bins = stft(window.values, cfg.frame_len, cfg.hop, cfg.taper)
     return render_image(magnitude_db(bins, cfg.floor_db))
 
-
-def save_image(path: str, image: SpectralImage) -> None:
-    """Write the debug image format: magic, u32 w/h, float32 LE channel-major."""
-    px = image.pixels
-    with open(path, "wb") as fh:
-        fh.write(_IMAGE_MAGIC)
-        fh.write(struct.pack("<II", px.shape[2], px.shape[1]))
-        fh.write(px.astype("<f4").tobytes())
-
-
-def load_image(path: str) -> SpectralImage:
-    if not os.path.exists(path):
-        raise DataError(f"no such image file: {path}")
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _IMAGE_MAGIC:
-            raise BadMagicError(f"{path}: expected magic {_IMAGE_MAGIC!r}, got {magic!r}")
-        header = fh.read(8)
-        if len(header) < 8:
-            raise TruncatedPayloadError(f"{path}: truncated header "
-                                        f"({4 + len(header)} of 12 bytes)")
-        width, height = struct.unpack("<II", header)
-        if (width, height) != (IMAGE_SIZE, IMAGE_SIZE):
-            raise DataError(f"{path}: image is {width}x{height}, expected "
-                            f"{IMAGE_SIZE}x{IMAGE_SIZE}")
-        payload = fh.read()
-    expected = 3 * width * height * 4
-    if len(payload) != expected:
-        raise DataError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    px = np.frombuffer(payload, dtype="<f4").reshape(3, height, width)
-    return SpectralImage(np.ascontiguousarray(px))

@@ -17,7 +17,7 @@ from latentfuse.errors import (BadMagicError, DataError,
                                TruncatedPayloadError, UsageError,
                                VersionError)
 from latentfuse.ingest import Window
-from latentfuse.spectral import SpectralImage, save_image
+from latentfuse.spectral import SpectralImage, spectral_image
 from latentfuse.synthetic import make_images, make_stream
 
 
@@ -73,6 +73,13 @@ def test_runconfig_missing_equals(tmp_path):
 def test_runconfig_missing_file():
     with pytest.raises(DataError):
         RunConfig.from_file("/nonexistent/run.cfg")
+
+
+def test_runconfig_byte_not_utf8_reports_line(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"seed=1\n# caf\xe9\nsteps=2\n")
+    with pytest.raises(DataError, match="line 2: not valid UTF-8"):
+        RunConfig.from_file(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -529,18 +536,28 @@ def test_exit_two_on_corrupt_weights(tmp_path, capsys):
 
 
 def test_exit_three_on_poisoned_training_images(tmp_path, capsys):
-    img_dir = tmp_path / "imgs"
-    img_dir.mkdir()
-    px = np.full((3, 128, 128), 0.5, dtype=np.float32)
-    px[0, 0, 0] = np.nan
-    for i in range(2):
-        save_image(str(img_dir / f"img{i}.lsfi"), SpectralImage(px))
+    values = np.sin(np.arange(128.0))
+    poisoned = values.copy()
+    poisoned[5] = np.nan
+    data = tmp_path / "data.lsfd"
+    write_dataset(str(data), {"ECG": [Window(0, values, 0), Window(96, poisoned, 1)]},
+                  128)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("steps=3\nbatch=2\n")
-    code = main(["train-encoder", "--images", str(img_dir),
+    code = main(["train-encoder", "--data", str(data),
                  "--out", str(tmp_path / "model.lsfw"), "--config", str(cfg)])
     assert code == 3
     assert "numeric error" in capsys.readouterr().err
+    assert not (tmp_path / "model.lsfw").exists()
+
+
+def test_train_encoder_data_without_windows_exits_one(tmp_path, capsys):
+    data = tmp_path / "empty.lsfd"
+    write_dataset(str(data), {"ECG": []}, 128)
+    code = main(["train-encoder", "--data", str(data),
+                 "--out", str(tmp_path / "model.lsfw")])
+    assert code == 1
+    assert "no images" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +680,65 @@ def test_equal_seeds_give_identical_weights(workdir, tmp_path):
                  "--modalities", "ECG,EMG", "--out", str(head2),
                  "--config", str(cfg)]) == 0
     assert head2.read_bytes() == (workdir / "head.lsfw").read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_train_encoder_data_is_in_process_training(workdir, tmp_path, runners, n):
+    """--data renders every window (sorted modality, then window order) and
+    trains on their stack: the files equal an in-process run's bytes."""
+    runners(n)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("seed=3\nsteps=4\nbatch=4\ncodebook_size=16\n")
+    assert main(["train-encoder", "--data", str(workdir / "data.lsfd"),
+                 "--out", str(tmp_path / "cli.lsfw"), "--curve", str(tmp_path / "cli.csv"),
+                 "--config", str(cfg_path)]) == 0
+
+    cfg = RunConfig.from_file(str(cfg_path))
+    windows, _ = read_dataset(str(workdir / "data.lsfd"))
+    images = [spectral_image(w, cfg.spectral())
+              for name in sorted(windows) for w in windows[name]]
+    assert len(images) == 22
+    model, curve = vqvae.train_vqvae(vqvae.image_batch(images), cfg.vqvae())
+    vqvae.save_model(model, str(tmp_path / "want.lsfw"))
+    vqvae.write_loss_curve(str(tmp_path / "want.csv"), curve)
+    for got, want in (("cli.lsfw", "want.lsfw"), ("cli.csv", "want.csv")):
+        assert (tmp_path / got).read_bytes() == (tmp_path / want).read_bytes()
+
+
+# each argv names a file that cannot be read or written as asked: {dir} is a
+# directory, {missing} one that does not exist, {file} an empty regular file
+@pytest.mark.parametrize("argv", [
+    "dump --data {dir}",
+    "ingest --csv {dir} --schema ecg_mv=ECG --out {dir}/d.lsfd",
+    "eval --latents {dir} --head {work}/head.lsfw --modalities ECG,EMG",
+    "eval --latents {work}/codes.lsfl --head {work}/head.lsfw --modalities ECG "
+    "--config {dir}",
+    "train-encoder --data {dir} --out {dir}/m.lsfw",
+    "train-encoder --data {missing}/d.lsfd --out {dir}/m.lsfw",
+    "train-encoder --data {file} --out {dir}/m.lsfw",
+    "ingest --csv {work}/stream.csv --schema ecg_mv=ECG,emg_mv=EMG "
+    "--out {missing}/d.lsfd",
+    "encode --model {work}/model.lsfw --data {work}/data.lsfd --out {missing}/c.lsfl",
+    "bench --skip-metrics --repeat 1 --out-dir {file}/bench",
+    "train-encoder --synthetic 2 --out {missing}/m.lsfw --config {tiny}",
+    "train-encoder --synthetic 2 --out {dir}/m.lsfw --curve {missing}/c.csv "
+    "--config {tiny}",
+    "eval --latents {work}/codes.lsfl --head {work}/head.lsfw --modalities ECG "
+    "--config {latin1}",
+], ids=["dump-dir", "ingest-csv-dir", "eval-latents-dir", "config-dir",
+        "train-data-dir", "train-data-missing", "train-data-foreign", "ingest-out",
+        "encode-out", "bench-out-dir", "train-out", "train-curve", "config-not-utf8"])
+def test_unusable_path_exits_two_without_traceback(workdir, tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "tiny.cfg").write_text("steps=1\nbatch=2\n")
+    (tmp_path / "latin1.cfg").write_bytes(b"seed=1\nsteps=1 # \xe9\n")
+    paths = {"dir": tmp_path, "missing": tmp_path / "missing", "file": tmp_path / "file",
+             "work": workdir, "tiny": tmp_path / "tiny.cfg",
+             "latin1": tmp_path / "latin1.cfg"}
+    code = main([arg.format(**paths) for arg in argv.split()])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("data error: ") and "Traceback" not in err
 
 
 def test_classifier_needs_modalities(workdir, capsys):

@@ -518,17 +518,23 @@ def test_bce_with_logits_stable_at_extreme_logits():
 
 
 # (kernel, stride, padding) of every conv the encoder, the decoder backward,
-# the baseline extractors and the head run through _im2col, from 3 to 70
-# channels; each input is also given in channels-last memory
+# the baseline extractors and the head unfold, from 3 to 70 channels; each
+# input is also given in channels-last memory. The columns are the ones a
+# training conv2d forward caches for its backward.
 @pytest.mark.parametrize("k,s,p", [(4, 2, 1), (3, 1, 1), (3, 2, 1)])
 @pytest.mark.parametrize("n,c", [(1, 3), (8, 3), (8, 5), (2, 70)])
 def test_im2col_matches_patch_loop_bitwise(k, s, p, n, c):
     rs = np.random.default_rng(k * 100 + s * 10 + n + c)
+    desc = nn.conv2d("c", c, 2, k, s, p)
     for dtype in (np.float32, np.float64):
         x = rs.normal(size=(n, c, 10, 7)).astype(dtype)
+        store = nn.ParamStore()
+        store.add("c.w", np.zeros((2, c, k, k), dtype))
+        store.add("c.b", np.zeros(2, dtype))
         want, _, _ = im2col_by_loops(x, k, s, p, channels_last=True)
         for given in (x, channels_last(x)):
-            cols = nn._im2col(given, k, s, p).transpose(0, 2, 1)
+            _, cache = nn.forward(desc, store, given)
+            cols = cache[1].transpose(0, 2, 1)
             assert cols.shape == want.shape and cols.dtype == want.dtype
             assert cols.tobytes() == np.ascontiguousarray(want).tobytes()
 

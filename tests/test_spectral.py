@@ -1,12 +1,10 @@
-"""Tests for the STFT, dB scaling, colormap rendering, and image files."""
-
-import struct
+"""Tests for the STFT, dB scaling and colormap rendering."""
 
 import numpy as np
 import pytest
 
 from latentfuse import spectral
-from latentfuse.errors import BadMagicError, DataError, NumericError, UsageError
+from latentfuse.errors import NumericError, UsageError
 from latentfuse.ingest import Window
 
 from helpers import (direct_dft, four_gather_resize, render_by_formula,
@@ -277,58 +275,3 @@ def test_spectral_image_monotone_in_contrast():
     b = spectral.spectral_image(Window(0, v * 2.0, 0))
     # dB shift is constant, min-max normalization removes it
     assert np.abs(a.pixels - b.pixels).max() < 1e-5
-
-
-# ---------------------------------------------------------------------------
-# Image file round-trip
-# ---------------------------------------------------------------------------
-
-def test_image_roundtrip_bitwise(tmp_path):
-    rs = np.random.default_rng(9)
-    img = spectral.render_image(rs.uniform(-60, 0, size=(33, 65)))
-    path = str(tmp_path / "w.lsfi")
-    spectral.save_image(path, img)
-    back = spectral.load_image(path)
-    assert np.array_equal(back.pixels, img.pixels)
-
-
-def test_image_load_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.lsfi"
-    path.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(BadMagicError):
-        spectral.load_image(str(path))
-
-
-def test_image_load_rejects_truncation(tmp_path):
-    rs = np.random.default_rng(10)
-    img = spectral.render_image(rs.uniform(-60, 0, size=(4, 4)))
-    path = tmp_path / "t.lsfi"
-    spectral.save_image(str(path), img)
-    data = path.read_bytes()
-    path.write_bytes(data[:len(data) // 2])
-    with pytest.raises(DataError):
-        spectral.load_image(str(path))
-
-
-def test_image_load_truncated_anywhere_is_data_error(tmp_path):
-    path = tmp_path / "t.lsfi"
-    spectral.save_image(str(path), spectral.render_image(np.zeros((33, 65))))
-    data = path.read_bytes()
-    # every cut inside the 12-byte header, then every 997th payload byte
-    # (the 196 KB payload is too long to rewrite at each of its offsets)
-    for cut in [*range(16), *range(16, len(data), 997), len(data) - 1]:
-        path.write_bytes(data[:cut])
-        with pytest.raises(DataError):
-            spectral.load_image(str(path))
-
-
-def test_image_load_rejects_wrong_size(tmp_path):
-    path = tmp_path / "small.lsfi"
-    path.write_bytes(b"LSFI" + struct.pack("<II", 2, 2) + bytes(48))
-    with pytest.raises(DataError, match="2x2"):
-        spectral.load_image(str(path))
-
-
-def test_image_load_missing_file():
-    with pytest.raises(DataError):
-        spectral.load_image("/nonexistent/img.lsfi")
