@@ -346,11 +346,25 @@ def cmd_dump(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing `path` would raise, leaving no file
+    behind and an existing one unchanged."""
+    existed = os.path.lexists(path)
+    with open(path, "ab"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def cmd_train_encoder(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_file(args.config)
     _log_config(cfg, "train-encoder")
     if args.synthetic < 0:
         raise UsageError(f"--synthetic must be at least 0, got {args.synthetic}")
+    # an output that cannot be written fails the run before it trains
+    for path in (args.out, args.curve):
+        if path:
+            _check_writable(path)
     if args.data:
         windows, _ = read_dataset(args.data)
         ordered = {name: windows[name] for name in sorted(windows)}
@@ -537,9 +551,10 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_dump)
 
     p = sub.add_parser("train-encoder", help="train the shared encoder")
-    p.add_argument("--synthetic", type=int, default=0, metavar="N",
-                   help="train on N generated generic images")
-    p.add_argument("--data", help="train on a windowed dataset's (.lsfd) images instead")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--synthetic", type=int, default=0, metavar="N",
+                        help="train on N generated generic images")
+    source.add_argument("--data", help="train on a windowed dataset's (.lsfd) images instead")
     p.add_argument("--out", required=True, help="output weights (.lsfw)")
     p.add_argument("--curve", help="write per-step loss CSV here")
     p.add_argument("--config", help="key=value config file")

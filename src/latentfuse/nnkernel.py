@@ -34,9 +34,11 @@ Conventions, pinned for cross-run reproducibility:
   image's padded input and columns, so a batch adds only activations.
 - Importing this module sets OpenBLAS to one thread. map_windows runs
   independent items (a request's window chunks, a head batch's time
-  steps, a training conv's image ranges) on every CPU instead: the
-  calling thread and the workers of one persistent pool each take items
-  until none are left (docs/design.md, "Parallelism").
+  steps, a VQ-VAE batch's images) on every CPU instead: the calling
+  thread and the workers of one persistent pool each take items until
+  none are left (docs/design.md, "Parallelism"). Layers themselves are
+  serial: a training item backpropagates into a GradTape of its own, and
+  the caller adds the tapes into the store in item order.
 - conv2d pads its input into (N, H+2p, W+2p, C), unfolds each output
   pixel's patch as k runs of k*C contiguous floats, and runs one
   (P, k*k*C) @ (k*k*C, O) GEMM per image straight into its (N, P, O)
@@ -45,11 +47,9 @@ Conventions, pinned for cross-run reproducibility:
   the conv's adjoint, run in sub-pixel form: a stride-1 conv of the
   gradient whose output channels are the s*s output phases, interleaved
   by depth-to-space (docs/design.md, "Sub-pixel adjoint").
-- A training conv's forward runs one contiguous image range per runner,
-  and its backward runs the weight-gradient GEMM on a pool worker while
-  the calling thread computes the input gradient. The weight gradient is
-  in the store when that conv's backward returns, or raises. Both are
-  bitwise the serial call.
+- A conv's backward adds its weight gradient to the store before it
+  computes its input gradient, so the weight gradient is there when that
+  backward returns, or raises.
 """
 
 from __future__ import annotations
@@ -327,9 +327,9 @@ class GradTape:
 
     It reads the store's values, and `grads` lists each (name, gradient)
     in the order backward produced them. Backward passes on separate tapes
-    can share one store across threads; adding the tapes' gradients into
-    the store in a fixed order afterwards gives the same sums as running
-    the passes in that order on the store itself.
+    can share one store across threads, one tape per map item. Adding the
+    tapes' gradients into the store in item order afterwards gives sums
+    that do not depend on which thread ran which item.
     """
 
     def __init__(self, store: ParamStore) -> None:
@@ -504,20 +504,20 @@ def map_windows(fn: Callable, items: Iterable) -> list:
     """[fn(x) for x in items], with the items spread over window_runners() threads.
 
     The items are a request's window chunks, a head batch's time steps or a
-    training conv's image ranges. The calling thread and n - 1 pool workers
-    take the next unclaimed item until none is left, and each result lands
-    at its item's index. fn must be safe to run on several threads at once
+    VQ-VAE batch's images. The calling thread and n - 1 pool workers take
+    the next unclaimed item until none is left, and each result lands at
+    its item's index. fn must be safe to run on several threads at once
     and must not depend on which thread runs it (each thread has its own
     arena), so the results are bitwise the serial ones. When items fail,
     the exception of the lowest failing index is raised, as the serial loop
     would raise it. With one runner, one item, or inside another map, this
-    is the plain loop. Either way fn runs as a map's item: a map or training
-    conv inside it stays on its thread.
+    is the plain loop. Either way fn runs as a map's item: a map inside it
+    stays on its thread.
     """
     items = list(items)
-    n = min(len(items), _free_runners())
+    outer = getattr(_mapping, "active", False)
+    n = 1 if outer else min(len(items), window_runners())
     if n <= 1:
-        outer = getattr(_mapping, "active", False)
         _mapping.active = True
         try:
             return [fn(x) for x in items]
@@ -554,80 +554,42 @@ def map_windows(fn: Callable, items: Iterable) -> list:
     return results
 
 
-def _free_runners() -> int:
-    """window_runners(), or 1 on a thread that runs a map's items."""
-    return 1 if getattr(_mapping, "active", False) else window_runners()
-
-
-def _batch_ranges(n: int) -> list[range]:
-    """n images as one contiguous range per runner; a single range with one
-    runner or on a thread that runs a map's items."""
-    parts = min(n, _free_runners())
-    if parts <= 1:
-        return [range(n)]
-    return [range(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
-
-
 def _add_weight_grad(store: ParamStore, name: str, grad_rows: np.ndarray,
-                     cols: np.ndarray,
-                     grad_in: Callable[[], np.ndarray] | None = None) -> np.ndarray | None:
+                     cols: np.ndarray) -> None:
     """Accumulate grad_rows.T @ cols into parameter `name`, one GEMM over all
-    images, and return grad_in(), or None without it.
+    images.
 
     grad_rows is the (n*P, O) output gradient (`_channel_rows`) and cols
     the (n, P, k*k*c) columns its layer unfolded, so both operands are
     views, and the (O, k*k*c) result is the weight in `_weight_rows` order.
-    With grad_in, a second runner and no map running on this thread, the
-    GEMM goes to a pool worker, into an array allocated here, while this
-    thread runs grad_in. The gradient is added after both end, even when
-    grad_in raises, so the store holds what one runner leaves.
     """
-    gm, rows = grad_rows.T, cols.reshape(-1, cols.shape[-1])
-    shape = store.values[name].shape
-    if grad_in is None or _free_runners() < 2:
-        store.accumulate(name, _rows_to_weight(np.dot(gm, rows), shape))
-        return None if grad_in is None else grad_in()
-    out = np.empty((gm.shape[0], rows.shape[1]), np.result_type(gm, rows))
-    (done,) = _submit(1, lambda: np.dot(gm, rows, out=out))
-    try:
-        return grad_in()
-    finally:
-        done.result()
-        store.accumulate(name, _rows_to_weight(out, shape))
+    grad = np.dot(grad_rows.T, cols.reshape(-1, cols.shape[-1]))
+    store.accumulate(name, _rows_to_weight(grad, store.values[name].shape))
 
 
-def _conv_ranges(x: np.ndarray, rows: np.ndarray, k: int, s: int, p: int, out: np.ndarray,
-                 ranges: list[range],
-                 then: Callable[[slice], None] | None = None) -> np.ndarray:
+def _conv_batch(x: np.ndarray, rows: np.ndarray, k: int, s: int, p: int,
+                out: np.ndarray) -> np.ndarray:
     """Multiply each image's k x k, stride-s, padding-p patches of x by
     rows.T into out (n, P, O), and return the (n, P, k*k*c) columns.
 
     rows is the (O, k*k*c) weight in `_weight_rows` order. The padded input
     and the columns are allocated here for the whole batch, since training
-    caches them; each runner of the map pads, unfolds and multiplies one
-    image range, one GEMM per image, then runs then(part) on it.
+    caches them; the batched matmul runs one GEMM per image.
     """
     xp, cols = _unfold_buffers(x.shape, k, s, p, x.dtype)
-
-    def run(r: range) -> None:
-        part = slice(r.start, r.stop)
-        _unfold(x, xp, cols, k, s, p, part)
-        np.matmul(cols[part], rows.T, out=out[part])
-        if then is not None:
-            then(part)
-
-    map_windows(run, ranges)
+    _unfold(x, xp, cols, k, s, p)
+    np.matmul(cols, rows.T, out=out)
     return cols
 
 
 def _conv_images(x: np.ndarray, rows: np.ndarray, k: int, s: int, p: int, out: np.ndarray,
                  arena: Arena, then: Callable[[slice], None] | None = None) -> None:
-    """`_conv_ranges`' inference form, on the calling thread: pad, unfold and
-    multiply image by image into one single-image padded input and column
-    block of `arena`, then run then(part) on that image.
+    """`_conv_batch`'s inference form: pad, unfold and multiply image by
+    image into one single-image padded input and column block of `arena`,
+    then run then(part) on that image.
 
     A batch-n pass so holds one image's columns, not n. Each GEMM is the
-    per-image GEMM of `_conv_ranges`, so the result is bitwise. The padded
+    per-image GEMM of `_conv_batch`, so the result is bitwise. The padded
     block is zeroed once; each image overwrites only its interior.
     """
     xp, cols = _unfold_buffers((1,) + x.shape[1:], k, s, p, x.dtype, arena)
@@ -697,15 +659,15 @@ def _unfold_buffers(shape: tuple[int, ...], k: int, s: int, p: int, dtype,
     return zeros((n, h + 2 * p, w + 2 * p, c), dtype), empty((n, ho * wo, k * k * c), dtype)
 
 
-def _unfold(x: np.ndarray, xp: np.ndarray, cols: np.ndarray, k: int, s: int, p: int,
-            part: slice = slice(None)) -> None:
-    """Pad images x[part] into xp and copy their patches into their columns.
+def _unfold(x: np.ndarray, xp: np.ndarray, cols: np.ndarray, k: int, s: int, p: int
+            ) -> None:
+    """Pad images x into xp and copy their patches into their columns.
     The pad is a contiguous copy when x is channels-last."""
     h, w = x.shape[2:]
     ho, wo = (xp.shape[1] - k) // s + 1, (xp.shape[2] - k) // s + 1
-    xp[part, p:p + h, p:p + w] = x[part].transpose(0, 2, 3, 1)
-    patches = _windows(xp[part], k, s, ho, wo)
-    cols[part].reshape(patches.shape)[...] = patches
+    xp[:, p:p + h, p:p + w] = x.transpose(0, 2, 3, 1)
+    patches = _windows(xp, k, s, ho, wo)
+    cols.reshape(patches.shape)[...] = patches
 
 
 def _weight_rows(w: np.ndarray, arena: Arena | None = None) -> np.ndarray:
@@ -765,18 +727,16 @@ def _depth_to_space(grids: np.ndarray, s: int, p: int, out: np.ndarray) -> None:
 
 
 def _conv_adjoint(g: np.ndarray, w: np.ndarray, s: int, p: int, out: np.ndarray,
-                  ranges: list[range] | None = None, arena: Arena | None = None
-                  ) -> np.ndarray:
+                  arena: Arena | None = None) -> np.ndarray:
     """The adjoint of a stride-s, padding-p conv2d with weight w (A, B, k, k),
     applied to g (n, A, ho, wo), into out (n, B, h, w): conv_transpose2d's
     forward and conv2d's input gradient.
 
     Sub-pixel form: a stride-1 conv of g with kernel q = ceil(k/s), padding
     q - 1 and the `_phase_weight`, whose s*s*B output channels are the
-    phases of out, interleaved by `_depth_to_space`. Through
-    `_conv_ranges`, each runner of the map unfolds, multiplies and
-    interleaves one image range. With an arena, `_conv_images` does that
-    image by image, and every buffer is an arena block.
+    phases of out, interleaved by `_depth_to_space`: after the whole
+    batch's `_conv_batch`, or with an arena image by image through
+    `_conv_images`, where every buffer is an arena block.
     """
     n, a, ho, wo = g.shape
     q = -(-w.shape[2] // s)
@@ -787,15 +747,13 @@ def _conv_adjoint(g: np.ndarray, w: np.ndarray, s: int, p: int, out: np.ndarray,
     phases = empty((n, ha * wa, rows.shape[0]), np.result_type(rows, g))
     grids = phases.reshape(n, ha, wa, s, s, w.shape[1])
     dst = out.transpose(0, 2, 3, 1)
-
-    def interleave(part: slice) -> None:
-        _depth_to_space(grids[part], s, p, dst[part])
-
     if arena is None:
-        _conv_ranges(g, rows, q, 1, q - 1, phases, ranges, interleave)
-    else:
-        _conv_images(g, rows, q, 1, q - 1, phases, arena, interleave)
-        arena.release(mark)
+        _conv_batch(g, rows, q, 1, q - 1, phases)
+        _depth_to_space(grids, s, p, dst)
+        return out
+    _conv_images(g, rows, q, 1, q - 1, phases, arena,
+                 lambda part: _depth_to_space(grids[part], s, p, dst[part]))
+    arena.release(mark)
     return out
 
 
@@ -814,9 +772,6 @@ def forward(desc: LayerDescriptor, store: ParamStore, x, arena: Arena | None = N
     Feed-forward kinds take a batched array. recurrent_cell takes a tuple
     (x, h) of (N, x_dim) and (N, hidden) and returns the next hidden state.
 
-    Without an arena, conv2d and conv_transpose2d run one image range per
-    runner of the map (`_batch_ranges`), bitwise the one call.
-
     With an arena the call is an inference step, bitwise the plain one:
     conv2d, conv_transpose2d, relu and residual_block take their scratch and
     output from the arena and return no cache (None), convs unfold one image
@@ -834,8 +789,7 @@ def forward(desc: LayerDescriptor, store: ParamStore, x, arena: Arena | None = N
         out = _activation((n,) + out_shape(desc, x.shape[1:]), np.result_type(w, x), arena)
         pixels = out.transpose(0, 2, 3, 1).reshape(n, -1, desc.out_channels)
         if arena is None:
-            cache = (x.shape, _conv_ranges(x, _weight_rows(w), k, s, p, pixels,
-                                           _batch_ranges(n)))
+            cache = (x.shape, _conv_batch(x, _weight_rows(w), k, s, p, pixels))
         else:
             mark = arena.mark()
             _conv_images(x, _weight_rows(w, arena), k, s, p, pixels, arena)
@@ -848,12 +802,9 @@ def forward(desc: LayerDescriptor, store: ParamStore, x, arena: Arena | None = N
         _check_image_input(desc, x)
         w = store.values[f"{desc.name}.w"]
         b = store.values[f"{desc.name}.b"]
-        n = x.shape[0]
-        out = _activation((n,) + out_shape(desc, x.shape[1:]), np.result_type(w, x), arena)
-        if arena is None:
-            _conv_adjoint(x, w, desc.stride, desc.padding, out, _batch_ranges(n))
-        else:
-            _conv_adjoint(x, w, desc.stride, desc.padding, out, arena=arena)
+        out = _activation((x.shape[0],) + out_shape(desc, x.shape[1:]),
+                          np.result_type(w, x), arena)
+        _conv_adjoint(x, w, desc.stride, desc.padding, out, arena)
         out += b[:, None, None]
         return out, (x if arena is None else None)
 
@@ -921,19 +872,16 @@ def backward(desc: LayerDescriptor, store: ParamStore, cache, grad_out, *,
     if desc.kind == "conv2d":
         x_shape, cols = cache
         n, _, ho, wo = grad_out.shape
-        s, p = desc.stride, desc.padding
         gm = _channel_rows(grad_out)
         store.accumulate(f"{desc.name}.b", gm.sum(axis=0))
+        # added before the input gradient, so a raising adjoint leaves it
+        _add_weight_grad(store, f"{desc.name}.w", gm, cols)
+        if not need_grad_in:
+            return None
         w = store.values[f"{desc.name}.w"]
-
-        def grad_in() -> np.ndarray:
-            # runs beside the weight-gradient GEMM: reads w and grad_out, not cols
-            g = gm.reshape(n, ho, wo, -1).transpose(0, 3, 1, 2)
-            gx = _activation(x_shape, np.result_type(w, gm))
-            return _conv_adjoint(g, w, s, p, gx, [range(n)])
-
-        return _add_weight_grad(store, f"{desc.name}.w", gm, cols,
-                                grad_in if need_grad_in else None)
+        g = gm.reshape(n, ho, wo, -1).transpose(0, 3, 1, 2)
+        gx = _activation(x_shape, np.result_type(w, gm))
+        return _conv_adjoint(g, w, desc.stride, desc.padding, gx)
 
     if desc.kind == "conv_transpose2d":
         # the input gradient is the conv2d forward of grad_out with weight w,
@@ -944,8 +892,8 @@ def backward(desc: LayerDescriptor, store: ParamStore, cache, grad_out, *,
         store.accumulate(f"{desc.name}.b", _channel_rows(grad_out).sum(axis=0))
         gx = _activation(x.shape, np.result_type(w, grad_out))
         pixels = gx.transpose(0, 2, 3, 1).reshape(n, -1, desc.in_channels)
-        cols = _conv_ranges(grad_out, _weight_rows(w), desc.kernel, desc.stride,
-                            desc.padding, pixels, _batch_ranges(n))
+        cols = _conv_batch(grad_out, _weight_rows(w), desc.kernel, desc.stride,
+                           desc.padding, pixels)
         _add_weight_grad(store, f"{desc.name}.w", _channel_rows(x), cols)
         return gx if need_grad_in else None
 

@@ -271,6 +271,13 @@ def _quantize_batch(z_e: np.ndarray, entries: np.ndarray) -> tuple[np.ndarray, n
     return indices, z_q
 
 
+def _channels_last_batch(images: Sequence[np.ndarray]) -> np.ndarray:
+    """Stack (1, C, H, W) images into one (n, C, H, W) batch whose memory is
+    channels-last, like every image a layer produces, so the loss sums run
+    in the order they run on a whole-batch pass."""
+    return np.concatenate([im.transpose(0, 2, 3, 1) for im in images]).transpose(0, 3, 1, 2)
+
+
 def train_vqvae(dataset: list[SpectralImage] | np.ndarray,
                 cfg: VqVaeConfig = VqVaeConfig()) -> tuple[VqVaeModel, list[VqLossReport]]:
     """Train a fresh model on a set of 3x128x128 images.
@@ -280,6 +287,12 @@ def train_vqvae(dataset: list[SpectralImage] | np.ndarray,
     seeded initialization). Batches are drawn with replacement from a
     deterministic stream; equal configs give bitwise-equal models. A
     float32 array is used as given, never written: each batch is a copy.
+
+    Each image of a step's batch is one window-map item: encoder, quantizer
+    and decoder forward, then decoder and encoder backward into a GradTape
+    of its own, with the loss gradients scaled by the whole batch's sizes.
+    The tapes are added into the store in image order, so the bits do not
+    depend on the runner count.
     """
     if cfg.batch < 1:
         raise UsageError(f"batch must be >= 1, got {cfg.batch}")
@@ -306,25 +319,36 @@ def train_vqvae(dataset: list[SpectralImage] | np.ndarray,
     last_used = np.zeros(cfg.codebook_size, dtype=np.int64)
     curve: list[VqLossReport] = []
 
-    for step in range(cfg.steps):
-        idx = rng.integers(n, cfg.batch)
-        x = channels_last[idx].transpose(0, 3, 1, 2)
+    def image_step(x: np.ndarray):
         z_e, enc_caches = nn.stack_forward(model.encoder, store, x)
         flat_idx, z_q = _quantize_batch(z_e, entries)
         x_hat, dec_caches = nn.stack_forward(model.decoder, store, z_q)
+        # reconstruction path: through decoder, then straight-through to z_e;
+        # each loss term is a mean over the batch, so it scales by the batch
+        tape = nn.GradTape(store)
+        gx_hat = (2.0 / (cfg.batch * x.size)) * (x_hat - x)
+        dz_q = nn.stack_backward(model.decoder, tape, dec_caches,
+                                 gx_hat.astype(np.float32))
+        dz_e = dz_q + cfg.beta * (2.0 / (cfg.batch * z_e.size)) * (z_e - z_q)
+        nn.stack_backward(model.encoder, tape, enc_caches, dz_e.astype(np.float32),
+                          need_grad_in=False)
+        return z_e, flat_idx, z_q, x_hat, tape.grads
+
+    for step in range(cfg.steps):
+        idx = rng.integers(n, cfg.batch)
+        x = channels_last[idx].transpose(0, 3, 1, 2)
+        z_e, flat_idx, z_q, x_hat, tapes = zip(
+            *nn.map_windows(image_step, [x[i:i + 1] for i in range(cfg.batch)]))
+        z_e, z_q, x_hat = map(_channels_last_batch, (z_e, z_q, x_hat))
+        flat_idx = np.concatenate(flat_idx)
 
         report = vq_loss(x, x_hat, z_e, z_q, cfg.beta)
         if not np.isfinite(report.total):
             raise NumericError(f"non-finite loss at step {step}")
         curve.append(report)
-
-        # reconstruction path: through decoder, then straight-through to z_e
-        gx_hat = (2.0 / x.size) * (x_hat - x)
-        dz_q = nn.stack_backward(model.decoder, store, dec_caches,
-                                 gx_hat.astype(np.float32))
-        dz_e = dz_q + cfg.beta * (2.0 / z_e.size) * (z_e - z_q)
-        nn.stack_backward(model.encoder, store, enc_caches, dz_e.astype(np.float32),
-                          need_grad_in=False)
+        for grads in tapes:
+            for name, g in grads:
+                store.accumulate(name, g)
 
         # codebook term: pulls each used entry toward its assigned vectors
         vecs = z_e.transpose(0, 2, 3, 1).reshape(-1, cfg.embed_dim)

@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from latentfuse import hostinfo, vqvae
+from latentfuse import cli, hostinfo, vqvae
 from latentfuse.cli import (LatentEntry, RunConfig, main, read_dataset,
                             read_latents, sequences_from_latents,
                             write_dataset, write_latents)
@@ -507,6 +507,16 @@ def test_train_encoder_negative_synthetic_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_encoder_synthetic_and_data_exit_one(tmp_path, capsys):
+    out = tmp_path / "model.lsfw"
+    code = main(["train-encoder", "--synthetic", "4", "--data", str(tmp_path / "d.lsfd"),
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "not allowed with argument" in err
+    assert not out.exists()
+
+
 def test_dump_negative_limit_exits_one(tmp_path, capsys):
     path = tmp_path / "data.lsfd"
     write_dataset(str(path), _sample_windows(), 16)
@@ -728,7 +738,13 @@ def test_train_encoder_data_is_in_process_training(workdir, tmp_path, runners, n
 ], ids=["dump-dir", "ingest-csv-dir", "eval-latents-dir", "config-dir",
         "train-data-dir", "train-data-missing", "train-data-foreign", "ingest-out",
         "encode-out", "bench-out-dir", "train-out", "train-curve", "config-not-utf8"])
-def test_unusable_path_exits_two_without_traceback(workdir, tmp_path, capsys, argv):
+def test_unusable_path_exits_two_without_traceback(workdir, tmp_path, capsys, monkeypatch,
+                                                   argv):
+    """Each fails before any training step, and leaves no weights behind."""
+    def never_trains(*args, **kwargs):
+        raise AssertionError("train_vqvae entered")
+
+    monkeypatch.setattr(cli, "train_vqvae", never_trains)
     (tmp_path / "file").write_text("")
     (tmp_path / "tiny.cfg").write_text("steps=1\nbatch=2\n")
     (tmp_path / "latin1.cfg").write_bytes(b"seed=1\nsteps=1 # \xe9\n")
@@ -739,6 +755,7 @@ def test_unusable_path_exits_two_without_traceback(workdir, tmp_path, capsys, ar
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("data error: ") and "Traceback" not in err
+    assert not (tmp_path / "m.lsfw").exists()
 
 
 def test_classifier_needs_modalities(workdir, capsys):

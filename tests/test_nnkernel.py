@@ -404,9 +404,8 @@ def _conv_stack(kind):
 
 @pytest.mark.parametrize("kind", ["conv2d", "conv_transpose2d"])
 def test_conv_backward_returns_with_every_gradient_in_the_store(runners, kind):
-    """backward and stack_backward add the weight-gradient GEMMs they hand
-    to pool workers before they return, and every output is bitwise one
-    runner's."""
+    """backward and stack_backward return with every gradient in the store,
+    and every output is bitwise one runner's: layers never call the map."""
     descs, store, x, coef = _conv_stack(kind)
     got = {}
     for n in (1, 2, 3):
@@ -426,9 +425,9 @@ def test_conv_backward_returns_with_every_gradient_in_the_store(runners, kind):
 
 
 def test_backward_that_raises_leaves_one_runners_gradients(runners, monkeypatch):
-    """A conv whose input gradient raises still adds its weight gradient,
-    whether the GEMM ran inline or on a pool worker, and the next backward
-    is the clean one."""
+    """A conv whose input gradient raises has already added its weight
+    gradient, at every runner count, and the next backward is the clean
+    one."""
     descs = [nn.conv2d("a", 3, 4, 3, s=1, p=1), nn.relu(), nn.conv2d("b", 4, 4, 3, s=1, p=1)]
     store = nn.ParamStore()
     nn.init_params(descs, store, nn.seed_rng(2))

@@ -408,8 +408,8 @@ def test_head_training_and_scoring_parallel_is_bitwise_serial(runners):
 
 
 def test_length_one_head_convs_stay_on_the_calling_thread(runners):
-    # one step is the map's plain loop, yet its convs still run as a map's
-    # item: no image-range map and no weight-gradient GEMM on the pool
+    # one step is the map's plain loop, and its convs run serially inside
+    # it: no pool is made
     data = synthetic.make_separable_sequences(12, m=3, d=4, grid=8, seq_len=1,
                                               distance=2.0, seed=6)
     cfg = fusion.ClassifierConfig(epochs=2, batch=5, seed=0)

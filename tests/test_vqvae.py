@@ -284,6 +284,51 @@ def test_train_first_report_reflects_initialization():
     assert curve[0].total == pytest.approx(ref.total, rel=1e-12)
 
 
+def test_first_step_gradients_are_one_whole_batch_pass(monkeypatch):
+    """The per-image tapes of step 0 sum to the gradients of one whole-batch
+    backward, since each image scales its loss gradients by the batch's
+    sizes; curve[0] is that pass's vq_loss bitwise."""
+    images = small_images(4, seed=6)
+    cfg = vqvae.VqVaeConfig(codebook_size=16, embed_dim=8, steps=1, batch=3, seed=13)
+    seen = []
+    adam_step = nn.adam_step
+
+    def capture(store, *args, **kwargs):
+        seen.append({name: g.copy() for name, g in store.grads.items()})
+        adam_step(store, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "adam_step", capture)
+    _, curve = vqvae.train_vqvae(images, cfg)
+
+    ref = vqvae.build_model(16, 8, seed=13)
+    store, entries = ref.store, ref.store.values["codebook"]
+    idx = nn.seed_rng(14).integers(4, 3)
+    # the batch as training gathers it, in channels-last memory
+    x = images.transpose(0, 2, 3, 1)[idx].transpose(0, 3, 1, 2)
+    z_e, enc_caches = nn.stack_forward(ref.encoder, store, x)
+    flat_idx, z_q = vqvae._quantize_batch(z_e, entries)
+    x_hat, dec_caches = nn.stack_forward(ref.decoder, store, z_q)
+    want = vqvae.vq_loss(x, x_hat, z_e, z_q, cfg.beta)
+    assert curve[0] == want
+
+    gx_hat = (2.0 / x.size) * (x_hat - x)
+    dz_q = nn.stack_backward(ref.decoder, store, dec_caches, gx_hat.astype(np.float32))
+    dz_e = dz_q + cfg.beta * (2.0 / z_e.size) * (z_e - z_q)
+    nn.stack_backward(ref.encoder, store, enc_caches, dz_e.astype(np.float32),
+                      need_grad_in=False)
+    vecs = z_e.transpose(0, 2, 3, 1).reshape(-1, 8)
+    gcb = np.zeros_like(entries)
+    np.add.at(gcb, flat_idx, (2.0 / z_e.size) * (entries[flat_idx] - vecs))
+    store.accumulate("codebook", gcb)
+
+    (got,) = seen
+    assert list(got) == list(store.grads)
+    for name, g in store.grads.items():
+        assert g.any(), name
+        np.testing.assert_allclose(got[name], g, rtol=1e-4, atol=1e-4 * np.abs(g).max(),
+                                   err_msg=name)
+
+
 def test_train_reduces_loss():
     images = small_images(6, seed=3)
     cfg = vqvae.VqVaeConfig(codebook_size=16, embed_dim=8, steps=60, batch=2,
@@ -368,8 +413,8 @@ def _trained_bytes(images, cfg):
 
 @pytest.mark.parametrize("reseed", [False, True])
 def test_train_is_bitwise_at_every_runner_count(runners, monkeypatch, caplog, reseed):
-    """Each conv's image ranges on the map, and each weight-gradient GEMM
-    beside the input-gradient chain, keep every weight and loss bitwise
+    """One map item per image, with its gradients on a tape of its own and
+    the tapes added in image order, keeps every weight and loss bitwise
     those of one runner; so does a run that re-seeds dead codes."""
     if reseed:
         monkeypatch.setattr(vqvae, "DEAD_CODE_WINDOW", 6)
