@@ -312,9 +312,14 @@ def _parse_schema(text: str) -> dict[str, str]:
 def cmd_ingest(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_file(args.config)
     _log_config(cfg, "ingest")
-    stream = load_stream(args.csv, _parse_schema(args.schema))
+    schema = _parse_schema(args.schema)
+    stream = load_stream(args.csv, schema)
     if args.labels:
-        stream.labels = load_labels(args.labels)
+        labels = load_labels(args.labels)  # the file's own faults come first
+        if "label" in schema.values():
+            raise UsageError(f"labels given twice: by a --schema column mapped to "
+                             f"'label' and by --labels {args.labels}")
+        stream.labels = labels
     if cfg.resample_hz > 0:
         stream = prepare_stream(stream, cfg.resample_hz)
     else:
@@ -346,14 +351,18 @@ def cmd_dump(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_writable(path: str) -> None:
-    """Raise the OSError that writing `path` would raise, leaving no file
-    behind and an existing one unchanged."""
-    existed = os.path.lexists(path)
-    with open(path, "ab"):
-        pass
-    if not existed:
-        os.remove(path)
+def _check_writable(*paths: str | None) -> None:
+    """Raise the OSError that writing any of `paths` (None skipped) would
+    raise, leaving no file behind and an existing one unchanged, so an
+    output that cannot be written fails a run before it trains."""
+    for path in paths:
+        if path is None:
+            continue
+        existed = os.path.lexists(path)
+        with open(path, "ab"):
+            pass
+        if not existed:
+            os.remove(path)
 
 
 def cmd_train_encoder(args: argparse.Namespace) -> int:
@@ -361,10 +370,7 @@ def cmd_train_encoder(args: argparse.Namespace) -> int:
     _log_config(cfg, "train-encoder")
     if args.synthetic < 0:
         raise UsageError(f"--synthetic must be at least 0, got {args.synthetic}")
-    # an output that cannot be written fails the run before it trains
-    for path in (args.out, args.curve):
-        if path:
-            _check_writable(path)
+    _check_writable(args.out, args.curve)
     if args.data:
         windows, _ = read_dataset(args.data)
         ordered = {name: windows[name] for name in sorted(windows)}
@@ -402,19 +408,19 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _resolve_modalities(args: argparse.Namespace) -> tuple[str, ...]:
-    if args.modalities:
+    """--modalities, else --permutation: argparse requires exactly one."""
+    if args.modalities is not None:
         return pipeline.permutation_modalities(
             [m.strip() for m in args.modalities.split(",") if m.strip()])
-    if args.permutation:
-        return pipeline.permutation_modalities(args.permutation)
-    raise UsageError("provide --permutation 1..6 or --modalities A,B,...")
+    return pipeline.permutation_modalities(args.permutation)
 
 
 def cmd_train_classifier(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_file(args.config)
     _log_config(cfg, "train-classifier")
-    entries, codebook = read_latents(args.latents)
     modalities = _resolve_modalities(args)
+    _check_writable(args.out, args.curve)
+    entries, codebook = read_latents(args.latents)
     samples = sequences_from_latents(entries, codebook, modalities, cfg.seq_len)
     head, curve = train_classifier(samples, cfg.classifier())
     save_head(head, args.out)
@@ -569,9 +575,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train-classifier", help="train the fusion head")
     p.add_argument("--latents", required=True, help="latents file (.lsfl)")
-    p.add_argument("--permutation", type=int, choices=range(1, 7),
-                   help="fusion permutation id (cumulative modality sets)")
-    p.add_argument("--modalities", help="explicit comma-separated modality list")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--permutation", type=int, choices=range(1, 7),
+                       help="fusion permutation id (cumulative modality sets)")
+    which.add_argument("--modalities", help="explicit comma-separated modality list")
     p.add_argument("--out", required=True, help="output head weights (.lsfw)")
     p.add_argument("--curve", help="write per-epoch loss/accuracy CSV here")
     p.add_argument("--config", help="key=value config file")
@@ -580,8 +587,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a trained head on latents")
     p.add_argument("--latents", required=True, help="latents file (.lsfl)")
     p.add_argument("--head", required=True, help="head weights (.lsfw)")
-    p.add_argument("--permutation", type=int, choices=range(1, 7))
-    p.add_argument("--modalities", help="explicit comma-separated modality list")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--permutation", type=int, choices=range(1, 7))
+    which.add_argument("--modalities", help="explicit comma-separated modality list")
     p.add_argument("--out", help="also write the metrics JSON here")
     p.add_argument("--config", help="key=value config file")
     p.set_defaults(fn=cmd_eval)

@@ -194,9 +194,11 @@ def load_labels(path: str) -> list[tuple[int, int]]:
     if header is None or [h.strip() for h in header] != ["start_index", "label"]:
         raise DataError(f"{path}: expected header start_index,label")
     for line_no, row in enumerate(reader, start=2):
+        if len(row) != 2:
+            raise DataError(f"{path}: line {line_no}: expected 2 fields, got {len(row)}")
         try:
             idx, lab = int(row[0]), int(row[1])
-        except (ValueError, IndexError):
+        except ValueError:
             raise DataError(f"{path}: line {line_no}: malformed label row") from None
         if lab not in (0, 1):
             raise DataError(f"{path}: line {line_no}: label must be 0 or 1")

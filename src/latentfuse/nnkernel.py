@@ -30,8 +30,7 @@ Conventions, pinned for cross-run reproducibility:
 - stack_forward keeps every layer's cache for stack_backward. stack_infer is
   the cache-free inference pass: its scratch and activations live in the
   calling thread's Arena, reused from call to call, and its result is
-  bitwise stack_forward's. Its convs unfold image by image into one
-  image's padded input and columns, so a batch adds only activations.
+  bitwise stack_forward's.
 - Importing this module sets OpenBLAS to one thread. map_windows runs
   independent items (a request's window chunks, a head batch's time
   steps, a VQ-VAE batch's images) on every CPU instead: the calling
@@ -39,10 +38,12 @@ Conventions, pinned for cross-run reproducibility:
   none are left (docs/design.md, "Parallelism"). Layers themselves are
   serial: a training item backpropagates into a GradTape of its own, and
   the caller adds the tapes into the store in item order.
-- conv2d pads its input into (N, H+2p, W+2p, C), unfolds each output
-  pixel's patch as k runs of k*C contiguous floats, and runs one
-  (P, k*k*C) @ (k*k*C, O) GEMM per image straight into its (N, P, O)
-  output, P = ho * wo.
+- Every conv runs through one lowering, `_conv`: it pads a block of
+  images into (b, H+2p, W+2p, C), unfolds each output pixel's patch as k
+  runs of k*C contiguous floats, and runs one (P, k*k*C) @ (k*k*C, O)
+  GEMM per image straight into the (N, P, O) output, P = ho * wo. The
+  block is the whole batch in training, which caches its columns, and
+  one image with an arena, so a batch adds only activations.
 - conv_transpose2d's forward and conv2d's input gradient are one operator,
   the conv's adjoint, run in sub-pixel form: a stride-1 conv of the
   gradient whose output channels are the s*s output phases, interleaved
@@ -567,38 +568,25 @@ def _add_weight_grad(store: ParamStore, name: str, grad_rows: np.ndarray,
     store.accumulate(name, _rows_to_weight(grad, store.values[name].shape))
 
 
-def _conv_batch(x: np.ndarray, rows: np.ndarray, k: int, s: int, p: int,
-                out: np.ndarray) -> np.ndarray:
+def _conv(x: np.ndarray, rows: np.ndarray, k: int, s: int, p: int, out: np.ndarray,
+          arena: Arena | None = None) -> np.ndarray:
     """Multiply each image's k x k, stride-s, padding-p patches of x by
-    rows.T into out (n, P, O), and return the (n, P, k*k*c) columns.
+    rows.T into out (n, P, O), and return the last block's (b, P, k*k*c)
+    columns; rows is the (O, k*k*c) weight in `_weight_rows` order.
 
-    rows is the (O, k*k*c) weight in `_weight_rows` order. The padded input
-    and the columns are allocated here for the whole batch, since training
-    caches them; the batched matmul runs one GEMM per image.
+    The images are padded and unfolded a block at a time into one padded
+    input and one column buffer, and the batched matmul runs one GEMM per
+    image. Without an arena the block is the whole batch, whose columns
+    training caches. With one it is one image, in arena blocks, so an
+    inference pass holds one image's columns; the padded block is zeroed
+    once and each image overwrites only its interior.
     """
-    xp, cols = _unfold_buffers(x.shape, k, s, p, x.dtype)
-    _unfold(x, xp, cols, k, s, p)
-    np.matmul(cols, rows.T, out=out)
+    n = x.shape[0] if arena is None else 1
+    xp, cols = _unfold_buffers((n,) + x.shape[1:], k, s, p, x.dtype, arena)
+    for i in range(0, x.shape[0], max(n, 1)):
+        _unfold(x[i:i + n], xp, cols, k, s, p)
+        np.matmul(cols, rows.T, out=out[i:i + n])
     return cols
-
-
-def _conv_images(x: np.ndarray, rows: np.ndarray, k: int, s: int, p: int, out: np.ndarray,
-                 arena: Arena, then: Callable[[slice], None] | None = None) -> None:
-    """`_conv_batch`'s inference form: pad, unfold and multiply image by
-    image into one single-image padded input and column block of `arena`,
-    then run then(part) on that image.
-
-    A batch-n pass so holds one image's columns, not n. Each GEMM is the
-    per-image GEMM of `_conv_batch`, so the result is bitwise. The padded
-    block is zeroed once; each image overwrites only its interior.
-    """
-    xp, cols = _unfold_buffers((1,) + x.shape[1:], k, s, p, x.dtype, arena)
-    for i in range(x.shape[0]):
-        part = slice(i, i + 1)
-        _unfold(x[part], xp, cols, k, s, p)
-        np.matmul(cols, rows.T, out=out[part])
-        if then is not None:
-            then(part)
 
 
 # ---------------------------------------------------------------------------
@@ -732,11 +720,11 @@ def _conv_adjoint(g: np.ndarray, w: np.ndarray, s: int, p: int, out: np.ndarray,
     applied to g (n, A, ho, wo), into out (n, B, h, w): conv_transpose2d's
     forward and conv2d's input gradient.
 
-    Sub-pixel form: a stride-1 conv of g with kernel q = ceil(k/s), padding
-    q - 1 and the `_phase_weight`, whose s*s*B output channels are the
-    phases of out, interleaved by `_depth_to_space`: after the whole
-    batch's `_conv_batch`, or with an arena image by image through
-    `_conv_images`, where every buffer is an arena block.
+    Sub-pixel form: one `_conv` of g with kernel q = ceil(k/s), stride 1,
+    padding q - 1 and the `_phase_weight` fills the batch's phase grids,
+    whose s*s*B channels are the phases of out, and one `_depth_to_space`
+    interleaves them. With an arena every buffer is an arena block, given
+    back on return.
     """
     n, a, ho, wo = g.shape
     q = -(-w.shape[2] // s)
@@ -745,15 +733,11 @@ def _conv_adjoint(g: np.ndarray, w: np.ndarray, s: int, p: int, out: np.ndarray,
     mark = None if arena is None else arena.mark()
     rows = _phase_weight(w, s, arena)
     phases = empty((n, ha * wa, rows.shape[0]), np.result_type(rows, g))
-    grids = phases.reshape(n, ha, wa, s, s, w.shape[1])
-    dst = out.transpose(0, 2, 3, 1)
-    if arena is None:
-        _conv_batch(g, rows, q, 1, q - 1, phases)
-        _depth_to_space(grids, s, p, dst)
-        return out
-    _conv_images(g, rows, q, 1, q - 1, phases, arena,
-                 lambda part: _depth_to_space(grids[part], s, p, dst[part]))
-    arena.release(mark)
+    _conv(g, rows, q, 1, q - 1, phases, arena)
+    _depth_to_space(phases.reshape(n, ha, wa, s, s, w.shape[1]), s, p,
+                    out.transpose(0, 2, 3, 1))
+    if arena is not None:
+        arena.release(mark)
     return out
 
 
@@ -775,10 +759,10 @@ def forward(desc: LayerDescriptor, store: ParamStore, x, arena: Arena | None = N
     With an arena the call is an inference step, bitwise the plain one:
     conv2d, conv_transpose2d, relu and residual_block take their scratch and
     output from the arena and return no cache (None), convs unfold one image
-    at a time (`_conv_images`), and relu overwrites an input that the arena
-    owns. A residual block's inner stack starts with a
-    conv, which never writes its input, so the block's input survives for
-    the skip add. The other kinds run as without an arena.
+    at a time (`_conv`), and relu overwrites an input that the arena owns.
+    A residual block's inner stack starts with a conv, which never writes
+    its input, so the block's input survives for the skip add. The other
+    kinds run as without an arena.
     """
     if desc.kind == "conv2d":
         _check_image_input(desc, x)
@@ -788,15 +772,12 @@ def forward(desc: LayerDescriptor, store: ParamStore, x, arena: Arena | None = N
         n = x.shape[0]
         out = _activation((n,) + out_shape(desc, x.shape[1:]), np.result_type(w, x), arena)
         pixels = out.transpose(0, 2, 3, 1).reshape(n, -1, desc.out_channels)
-        if arena is None:
-            cache = (x.shape, _conv_batch(x, _weight_rows(w), k, s, p, pixels))
-        else:
-            mark = arena.mark()
-            _conv_images(x, _weight_rows(w, arena), k, s, p, pixels, arena)
+        mark = None if arena is None else arena.mark()
+        cols = _conv(x, _weight_rows(w, arena), k, s, p, pixels, arena)
+        if arena is not None:
             arena.release(mark)
-            cache = None
         pixels += b
-        return out, cache
+        return out, ((x.shape, cols) if arena is None else None)
 
     if desc.kind == "conv_transpose2d":
         _check_image_input(desc, x)
@@ -892,8 +873,8 @@ def backward(desc: LayerDescriptor, store: ParamStore, cache, grad_out, *,
         store.accumulate(f"{desc.name}.b", _channel_rows(grad_out).sum(axis=0))
         gx = _activation(x.shape, np.result_type(w, grad_out))
         pixels = gx.transpose(0, 2, 3, 1).reshape(n, -1, desc.in_channels)
-        cols = _conv_batch(grad_out, _weight_rows(w), desc.kernel, desc.stride,
-                           desc.padding, pixels)
+        cols = _conv(grad_out, _weight_rows(w), desc.kernel, desc.stride, desc.padding,
+                     pixels)
         _add_weight_grad(store, f"{desc.name}.w", _channel_rows(x), cols)
         return gx if need_grad_in else None
 

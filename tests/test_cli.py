@@ -500,6 +500,20 @@ def test_ingest_hostile_csv_exits_two_naming_the_line(tmp_path, capsys, csv_line
     assert f"line {line}:" in err
 
 
+def test_ingest_inline_and_file_labels_exit_one(tmp_path, capsys):
+    csv_path = tmp_path / "stream.csv"
+    _write_stream_csv(str(csv_path), n=256)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("start_index,label\n0,1\n")
+    out = tmp_path / "x.lsfd"
+    code = main(["ingest", "--csv", str(csv_path), "--schema", "ecg_mv=ECG,state=label",
+                 "--labels", str(labels), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "--schema" in err and str(labels) in err
+    assert not out.exists()
+
+
 def test_train_encoder_negative_synthetic_exits_one(tmp_path, capsys):
     out = tmp_path / "model.lsfw"
     assert main(["train-encoder", "--synthetic", "-3", "--out", str(out)]) == 1
@@ -735,16 +749,22 @@ def test_train_encoder_data_is_in_process_training(workdir, tmp_path, runners, n
     "--config {tiny}",
     "eval --latents {work}/codes.lsfl --head {work}/head.lsfw --modalities ECG "
     "--config {latin1}",
+    "train-classifier --latents {work}/codes.lsfl --modalities ECG,EMG "
+    "--out {missing}/m.lsfw",
+    "train-classifier --latents {work}/codes.lsfl --modalities ECG,EMG "
+    "--out {dir}/m.lsfw --curve {missing}/c.csv",
 ], ids=["dump-dir", "ingest-csv-dir", "eval-latents-dir", "config-dir",
         "train-data-dir", "train-data-missing", "train-data-foreign", "ingest-out",
-        "encode-out", "bench-out-dir", "train-out", "train-curve", "config-not-utf8"])
+        "encode-out", "bench-out-dir", "train-out", "train-curve", "config-not-utf8",
+        "classifier-out", "classifier-curve"])
 def test_unusable_path_exits_two_without_traceback(workdir, tmp_path, capsys, monkeypatch,
                                                    argv):
     """Each fails before any training step, and leaves no weights behind."""
     def never_trains(*args, **kwargs):
-        raise AssertionError("train_vqvae entered")
+        raise AssertionError("training entered")
 
     monkeypatch.setattr(cli, "train_vqvae", never_trains)
+    monkeypatch.setattr(cli, "train_classifier", never_trains)
     (tmp_path / "file").write_text("")
     (tmp_path / "tiny.cfg").write_text("steps=1\nbatch=2\n")
     (tmp_path / "latin1.cfg").write_bytes(b"seed=1\nsteps=1 # \xe9\n")
@@ -762,6 +782,18 @@ def test_classifier_needs_modalities(workdir, capsys):
     code = main(["train-classifier", "--latents", str(workdir / "codes.lsfl"),
                  "--out", "/tmp/never.lsfw"])
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["train-classifier", "eval"])
+def test_permutation_and_modalities_exit_one(workdir, tmp_path, capsys, command):
+    args = {"train-classifier": ["--out", str(tmp_path / "h.lsfw")],
+            "eval": ["--head", str(workdir / "head.lsfw")]}[command]
+    code = main([command, "--latents", str(workdir / "codes.lsfl"), *args,
+                 "--permutation", "1", "--modalities", "ECG,EMG"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "not allowed with argument" in err
+    assert not (tmp_path / "h.lsfw").exists()
 
 
 def test_eval_rejects_missing_modality(workdir, capsys):

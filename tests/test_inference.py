@@ -201,21 +201,26 @@ def test_arena_repeat_calls_add_no_bytes(batch):
 
 def _conv_output_bytes(descs, shape) -> int:
     """float32 bytes of one image's conv outputs: the activations an arena
-    pass allocates (relu and the residual add write in place)."""
+    pass allocates (relu and the residual add write in place), and each
+    transposed conv's phase grids, (Ha*Wa, s*s*B) floats."""
     total = 0
     for d in descs:
         if d.kind == "residual_block":
             total += _conv_output_bytes(d.inner, shape)
+        if d.kind == "conv_transpose2d":
+            q = -(-d.kernel // d.stride)
+            ha, wa = shape[1] + q - 1, shape[2] + q - 1
+            total += 4 * ha * wa * d.stride * d.stride * d.out_channels
         shape = nn.out_shape(d, shape)
         if d.kind in ("conv2d", "conv_transpose2d"):
             total += 4 * int(np.prod(shape))
     return total
 
 
-@pytest.mark.parametrize("name", ["encoder", "baseline"])
+@pytest.mark.parametrize("name", ["encoder", "baseline", "decoder"])
 def test_inference_arena_keeps_one_images_columns(name):
     descs, store = _stacks()[name]
-    images = synthetic.make_images(4, seed=9)
+    images = _inputs(4, seed=9)[name]
 
     def arena_after(batch):
         nn.stack_infer(descs, store, images[:batch])
@@ -224,7 +229,8 @@ def test_inference_arena_keeps_one_images_columns(name):
     one = _in_fresh_thread(lambda: arena_after(1))
     four = _in_fresh_thread(lambda: arena_after(4))
     extra = 3 * _conv_output_bytes(descs, images.shape[1:])
-    # three more images add their activations, and no padded input or columns
+    # three more images add their activations (and phase grids), and no
+    # padded input or columns
     assert one < four <= one + extra, (one, four, extra)
 
 

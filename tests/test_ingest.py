@@ -74,6 +74,9 @@ def test_load_labels_file(tmp_path):
     bad = write(tmp_path / "bad.csv", "start_index,label\n10,1\n5,0\n")
     with pytest.raises(DataError, match="line 3"):
         ingest.load_labels(bad)
+    extra = write(tmp_path / "extra.csv", "start_index,label\n0,0\n500,1,junk\n")
+    with pytest.raises(DataError, match="line 3: expected 2 fields, got 3"):
+        ingest.load_labels(extra)
 
 
 def test_load_labels_negative_start_is_data_error(tmp_path):
