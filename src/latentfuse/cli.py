@@ -403,7 +403,10 @@ def cmd_encode(args: argparse.Namespace) -> int:
     entries = [LatentEntry(name, w.start_index, w.label, indices)
                for name, ws in ordered.items() for w, indices in zip(ws, codes[name])]
     write_latents(args.out, entries, model.codebook, GRID)
-    log.info("encoded %d windows -> %s", len(entries), args.out)
+    used, perplexity = vqvae.code_usage(
+        np.array([e.indices for e in entries], dtype=np.int64), model.codebook.k)
+    log.info("encoded %d windows -> %s; %d of %d codes used, perplexity %.2f",
+             len(entries), args.out, used, model.codebook.k, perplexity)
     return 0
 
 

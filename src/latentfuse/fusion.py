@@ -143,23 +143,35 @@ def build_head(in_channels: int, grid: int = GRID, hidden: int = HEAD_HIDDEN,
     return ClassifierHead(conv, cell, out, store)
 
 
-def _sequence_batch(samples: Sequence[SequenceSample]) -> tuple[np.ndarray, np.ndarray]:
-    """Write samples once into a (B, L, C, g, g) float32 array; float64 labels."""
+def _map_steps(head: ClassifierHead, samples: Sequence[SequenceSample], run) -> list:
+    """run(head.conv, head.store, x_t) for each step t, through the window map.
+
+    The batch is checked first, on the calling thread. Each map item then
+    gathers its own step batch x_t, step t of every sample stacked in the
+    head's parameter dtype and in the tensors' memory order, so at most one
+    step batch per runner is alive and no (B, L, C, g, g) array is built.
+    """
     seq_len = len(samples[0].steps)
     if seq_len < 1:
         raise UsageError("a sequence sample needs at least one step")
     shape = samples[0].steps[0].tensor.shape
-    x = np.empty((len(samples), seq_len) + shape, dtype=np.float32)
-    for i, s in enumerate(samples):
+    for s in samples:
         if len(s.steps) != seq_len:
             raise UsageError("all sequence samples must share the same length")
-        for t, fl in enumerate(s.steps):
+        for fl in s.steps:
             if fl.tensor.shape != shape:
                 raise UsageError(f"fused latent shape {fl.tensor.shape} differs from "
                                  f"the batch's {shape}")
-            x[i, t] = fl.tensor
-    y = np.array([s.label for s in samples], dtype=np.float64)
-    return x, y
+    c1 = head.conv[0]
+    if shape[0] != c1.in_channels:
+        raise UsageError(f"fused latents have {shape[0]} channels, but the head's "
+                         f"{c1.name} takes {c1.in_channels}: is it the modality set "
+                         f"the head was trained on?")
+    dtype = head.store.values[f"{c1.name}.w"].dtype
+    return nn.map_windows(
+        lambda t: run(head.conv, head.store,
+                      np.stack([s.steps[t].tensor for s in samples], dtype=dtype)),
+        range(seq_len))
 
 
 def _recur(head: ClassifierHead, feats: Sequence[np.ndarray]):
@@ -175,15 +187,15 @@ def _recur(head: ClassifierHead, feats: Sequence[np.ndarray]):
     return logits[:, 0], cell_caches, out_cache
 
 
-def forward_logits(head: ClassifierHead, x: np.ndarray):
-    """Logits for a (B, L, C, g, g) batch; also returns caches for backward.
+def forward_logits(head: ClassifierHead, samples: Sequence[SequenceSample]):
+    """Logits for a batch of equal-length sequences; also returns caches for
+    backward.
 
     The conv stack does not read the recurrent state, so the L steps' convs
     run through the window map, each on the whole batch; the cell then runs
     over the steps in order.
     """
-    convs = nn.map_windows(lambda xt: nn.stack_forward(head.conv, head.store, xt),
-                           [x[:, t] for t in range(x.shape[1])])
+    convs = _map_steps(head, samples, nn.stack_forward)
     logits, cell_caches, out_cache = _recur(head, [f for f, _ in convs])
     return logits, (convs, cell_caches, out_cache)
 
@@ -234,9 +246,7 @@ def predict_scores(head: ClassifierHead, dataset: Sequence[SequenceSample],
         raise UsageError("cannot score an empty dataset")
     scores = []
     for lo in range(0, len(dataset), batch):
-        x, _ = _sequence_batch(dataset[lo:lo + batch])
-        feats = nn.map_windows(lambda xt: nn.stack_infer(head.conv, head.store, xt),
-                               [x[:, t] for t in range(x.shape[1])])
+        feats = _map_steps(head, dataset[lo:lo + batch], nn.stack_infer)
         logits, _, _ = _recur(head, feats)
         scores.append(nn.sigmoid_fn(logits.astype(np.float64)))
     return np.concatenate(scores)
@@ -283,8 +293,8 @@ def train_classifier(dataset: Sequence[SequenceSample],
         perm = rng.shuffle(n)
         for lo in range(0, n, cfg.batch):
             chunk = [dataset[i] for i in perm[lo:lo + cfg.batch]]
-            x, y = _sequence_batch(chunk)
-            logits, caches = forward_logits(head, x)
+            y = np.array([s.label for s in chunk], dtype=np.float64)
+            logits, caches = forward_logits(head, chunk)
             loss, dlogits = nn.bce_with_logits(logits, y)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss in epoch {epoch}")

@@ -614,10 +614,11 @@ def _activation(shape: tuple[int, ...], dtype, arena: Arena | None = None) -> np
 
 
 def _channel_rows(x: np.ndarray) -> np.ndarray:
-    """An (n, c, h, w) image as its (n*h*w, c) pixel rows: a view when x is
-    channels-last, else a copy. Sums and GEMMs over these rows run in one
-    order whatever x's strides."""
-    return x.transpose(0, 2, 3, 1).reshape(-1, x.shape[1])
+    """An (n, c, h, w) image as its C-ordered (n*h*w, c) pixel rows: a view
+    when x is channels-last, else a copy. Sums and GEMMs over these rows run
+    in one order whatever x's strides; a strided view would not (at n = 1 a
+    channel-major x reshapes to one, and numpy sums it pairwise)."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1).reshape(-1, x.shape[1]))
 
 
 def _windows(xp: np.ndarray, k: int, s: int, ho: int, wo: int) -> np.ndarray:

@@ -178,6 +178,15 @@ def quantize(z_e: np.ndarray, codebook: Codebook) -> LatentCode:
     return LatentCode(indices, codebook.lookup(indices))
 
 
+def code_usage(indices: np.ndarray, k: int) -> tuple[int, float]:
+    """How many of the k codes the indices use, and the perplexity
+    exp(-sum p log p) of their code frequencies p (van den Oord et al. 2017):
+    k when every code is used equally often, 1 when one code is."""
+    counts = np.bincount(indices.reshape(-1), minlength=k)
+    p = counts[counts > 0] / max(int(counts.sum()), 1)
+    return int(p.size), float(np.exp(-np.sum(p * np.log(p))))
+
+
 def _nearest_codes(vecs: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """Index of the nearest row of `entries` (K, D) for each row of `vecs` (N, D).
 
@@ -308,9 +317,12 @@ def train_vqvae(dataset: list[SpectralImage] | np.ndarray,
     n = images.shape[0]
     if n == 0:
         raise UsageError("empty training set")
-    # each batch is gathered into channels-last memory, the format of every
-    # activation the model produces, so enc.c1 pads it with contiguous copies
+    # each batch is gathered in one copy into channels-last memory, the format
+    # of every activation the model produces, whatever the images' memory
+    # order: enc.c1 pads it with contiguous copies, and the loss terms and
+    # their gradients see one layout, so the bits do not depend on the input's
     channels_last = images.transpose(0, 2, 3, 1)
+    batch_rows = np.empty((cfg.batch,) + channels_last.shape[1:], dtype=np.float32)
 
     model = build_model(cfg.codebook_size, cfg.embed_dim, cfg.seed)
     store = model.store
@@ -336,7 +348,9 @@ def train_vqvae(dataset: list[SpectralImage] | np.ndarray,
 
     for step in range(cfg.steps):
         idx = rng.integers(n, cfg.batch)
-        x = channels_last[idx].transpose(0, 3, 1, 2)
+        for row, i in zip(batch_rows, idx):
+            np.copyto(row, channels_last[i])
+        x = batch_rows.transpose(0, 3, 1, 2)
         z_e, flat_idx, z_q, x_hat, tapes = zip(
             *nn.map_windows(image_step, [x[i:i + 1] for i in range(cfg.batch)]))
         z_e, z_q, x_hat = map(_channels_last_batch, (z_e, z_q, x_hat))

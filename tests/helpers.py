@@ -2,8 +2,9 @@
 
 Each function here recomputes a contract from first principles (loops and
 definitions, no shortcuts shared with the implementation) so the tests
-compare two genuinely different routes to the same answer. `bounded` is
-the one exception: it fails a test that hangs.
+compare two genuinely different routes to the same answer. `bounded` and
+`as_samples` are the exceptions: one fails a test that hangs, the other
+hands an array to the head as its sequence samples.
 """
 
 from __future__ import annotations
@@ -11,6 +12,16 @@ from __future__ import annotations
 import threading
 
 import numpy as np
+
+from latentfuse import fusion
+
+
+def as_samples(x: np.ndarray, labels=None) -> list[fusion.SequenceSample]:
+    """A (B, L, C, g, g) array as B sequence samples whose steps are views of
+    x, labelled 0 unless labels are given."""
+    labels = [0] * x.shape[0] if labels is None else labels
+    return [fusion.SequenceSample([fusion.FusedLatent(step, ()) for step in seq], int(y))
+            for seq, y in zip(x, labels)]
 
 
 def bounded(fn, seconds=60):

@@ -18,7 +18,8 @@ from latentfuse.cli import LatentEntry, main, sequences_from_latents
 from latentfuse.ingest import MultimodalStream, window_stream
 from latentfuse.spectral import SpectralImage, spectral_image, stft
 
-from helpers import auc_by_pairs, exhaustive_nearest, fd_array_error, fd_param_error
+from helpers import (as_samples, auc_by_pairs, exhaustive_nearest, fd_array_error,
+                     fd_param_error)
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -275,7 +276,7 @@ def _head_fd_error(seed) -> float:
                    dtype=np.float64)
     head.store = store
     rs = np.random.default_rng(seed + 100)
-    x = rs.standard_normal((2, 3, 2, 8, 8))
+    x = as_samples(rs.standard_normal((2, 3, 2, 8, 8)))
     y = np.array([1.0, 0.0])
 
     def loss():

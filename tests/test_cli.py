@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 import os
 import re
 import struct
@@ -645,6 +646,25 @@ def test_pipeline_latents_match_dataset(workdir):
         assert e.indices.max() < 128
 
 
+def test_encode_logs_the_codes_it_wrote(workdir, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="latentfuse.cli")
+    out = tmp_path / "codes.lsfl"
+    assert main(["encode", "--model", str(workdir / "model.lsfw"),
+                 "--data", str(workdir / "data.lsfd"), "--out", str(out),
+                 "--config", str(workdir / "run.cfg")]) == 0
+    assert out.read_bytes() == (workdir / "codes.lsfl").read_bytes()
+    counts = {}
+    for e in read_latents(str(out))[0]:
+        for i in e.indices.reshape(-1).tolist():
+            counts[i] = counts.get(i, 0) + 1
+    total = sum(counts.values())
+    perplexity = math.exp(-sum(c / total * math.log(c / total) for c in counts.values()))
+    logged = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("encoded ")]
+    assert logged == [f"encoded 22 windows -> {out}; {len(counts)} of 128 codes used, "
+                      f"perplexity {perplexity:.2f}"]
+
+
 def test_pipeline_metrics_json(workdir):
     metrics = json.loads((workdir / "metrics.json").read_text())
     assert set(metrics) == {"accuracy", "f1", "auc", "tp", "fp", "tn", "fn"}
@@ -657,6 +677,16 @@ def test_eval_empty_modality_list_exits_one(workdir, capsys):
                  "--head", str(workdir / "head.lsfw"), "--modalities", ","])
     assert code == 1
     assert "modality list must not be empty" in capsys.readouterr().err
+
+
+def test_eval_on_another_modality_set_than_the_heads_exits_one(workdir, capsys):
+    # the head was trained on ECG,EMG: 32 fused channels, not ECG's 16
+    code = main(["eval", "--latents", str(workdir / "codes.lsfl"),
+                 "--head", str(workdir / "head.lsfw"), "--modalities", "ECG"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: fused latents have 16 channels")
+    assert "head.c1 takes 32" in err
 
 
 def test_pipeline_curves_well_formed(workdir):

@@ -1,5 +1,7 @@
 """Tests for latent fusion, the sequence classifier, and the metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from latentfuse import fusion, synthetic
 from latentfuse import nnkernel as nn
 from latentfuse.errors import DataError, UsageError
 
-from helpers import auc_by_pairs, naive_conv
+from helpers import as_samples, auc_by_pairs, naive_conv
 
 
 def random_latents(names, d=4, grid=8, seed=0):
@@ -99,11 +101,9 @@ def test_classify_handles_length_one_sequences():
 def test_forward_logits_batch_matches_single():
     head = fusion.build_head(4, grid=8, seed=1)
     data = synthetic.make_separable_sequences(6, m=1, d=4, grid=8, seq_len=2)
-    x, _ = fusion._sequence_batch(data)
-    batch_logits, _ = fusion.forward_logits(head, x)
+    batch_logits, _ = fusion.forward_logits(head, data)
     for i, sample in enumerate(data):
-        xi, _ = fusion._sequence_batch([sample])
-        one, _ = fusion.forward_logits(head, xi)
+        one, _ = fusion.forward_logits(head, [sample])
         assert batch_logits[i] == pytest.approx(one[0], abs=1e-6)
 
 
@@ -137,8 +137,8 @@ def test_forward_logits_match_a_float64_reference_that_flattens_c_h_w():
         if name.rsplit(".", 1)[1].startswith("b"):  # nonzero biases
             v[...] = np.random.default_rng(len(name)).uniform(-0.2, 0.2, v.shape)
     data = synthetic.make_separable_sequences(4, m=2, d=4, grid=8, seq_len=3, seed=5)
-    x, _ = fusion._sequence_batch(data)
-    logits, _ = fusion.forward_logits(head, x)
+    x = np.stack([np.stack([fl.tensor for fl in s.steps]) for s in data])
+    logits, _ = fusion.forward_logits(head, data)
     want = _reference_logits(head, x, lambda f: f.reshape(f.shape[0], -1))
     assert np.allclose(logits, want, rtol=0, atol=1e-5)
     # the check has teeth: an H*W*C flatten moves the logits past it
@@ -148,8 +148,8 @@ def test_forward_logits_match_a_float64_reference_that_flattens_c_h_w():
 
 def test_forward_logits_rejects_wrong_channels():
     head = fusion.build_head(4, grid=8, seed=0)
-    with pytest.raises(UsageError):
-        fusion.forward_logits(head, np.zeros((1, 2, 5, 8, 8), dtype=np.float32))
+    with pytest.raises(UsageError, match="5 channels.* takes 4"):
+        fusion.forward_logits(head, as_samples(np.zeros((1, 2, 5, 8, 8), dtype=np.float32)))
 
 
 def test_step_order_changes_output():
@@ -171,7 +171,7 @@ def test_head_gradients_match_fd():
     nn.init_params([head.cell, head.out], store, nn.seed_rng(3), dtype=np.float64)
     head.store = store
     rs = np.random.default_rng(4)
-    x = rs.standard_normal((2, 3, 2, 8, 8))
+    x = as_samples(rs.standard_normal((2, 3, 2, 8, 8)))
     y = np.array([1.0, 0.0])
 
     def loss():
@@ -254,20 +254,64 @@ def test_predict_scores_rejects_an_empty_dataset():
         fusion.predict_scores(head, [])
 
 
-def test_sequence_batch_is_the_stacked_float32_batch():
+def test_a_batch_is_checked_before_any_step_runs(monkeypatch):
+    head = fusion.build_head(8, grid=8, seed=0)
     data = synthetic.make_separable_sequences(3, m=2, d=4, grid=8, seq_len=3, seed=6)
-    x, y = fusion._sequence_batch(data)
-    want = np.stack([np.stack([fl.tensor for fl in s.steps]) for s in data])
-    assert x.dtype == np.float32 and x.tobytes() == want.astype(np.float32).tobytes()
-    assert y.dtype == np.float64 and y.tolist() == [s.label for s in data]
+    ran = []
+    monkeypatch.setattr(nn, "stack_forward", lambda *a: ran.append(a))
+    monkeypatch.setattr(nn, "stack_infer", lambda *a: ran.append(a))
     odd = fusion.SequenceSample(data[0].steps[:2] + [fusion.FusedLatent(
         np.zeros((4, 8, 8), dtype=np.float32), ("ECG",))], 0)
-    with pytest.raises(UsageError, match="shape"):
-        fusion._sequence_batch([data[1], odd])
-    with pytest.raises(UsageError, match="length"):
-        fusion._sequence_batch([data[1], fusion.SequenceSample(data[0].steps[:2], 0)])
-    with pytest.raises(UsageError, match="step"):
-        fusion._sequence_batch([fusion.SequenceSample([], 0)])
+    for score in (lambda b: fusion.forward_logits(head, b),
+                  lambda b: fusion.predict_scores(head, b)):
+        with pytest.raises(UsageError, match="shape"):
+            score([data[1], odd])
+        with pytest.raises(UsageError, match="length"):
+            score([data[1], fusion.SequenceSample(data[0].steps[:2], 0)])
+        with pytest.raises(UsageError, match="step"):
+            score([fusion.SequenceSample([], 0)])
+        with pytest.raises(UsageError, match="12 channels.* takes 8"):
+            score(synthetic.make_separable_sequences(2, m=3, d=4, grid=8, seq_len=3))
+    assert ran == []
+
+
+def test_each_step_is_gathered_in_the_heads_dtype_and_memory_order(runners, monkeypatch):
+    runners(1)  # the steps run in order
+    head = fusion.build_head(8, grid=8, seed=0)
+    data = synthetic.make_separable_sequences(3, m=2, d=4, grid=8, seq_len=3, seed=6)
+    # float64 and channels-last, the memory order fuse() gives codebook rows
+    for s in data:
+        s.steps = [fusion.FusedLatent(np.ascontiguousarray(
+            fl.tensor.transpose(1, 2, 0), dtype=np.float64).transpose(2, 0, 1), ())
+            for fl in s.steps]
+    seen = []
+    stack_forward = nn.stack_forward
+    monkeypatch.setattr(nn, "stack_forward",
+                        lambda d, st, x: seen.append(x) or stack_forward(d, st, x))
+    fusion.forward_logits(head, data)
+    want = np.stack([np.stack([s.steps[t].tensor for s in data]) for t in range(3)])
+    assert [x.dtype for x in seen] == [np.float32] * 3
+    assert b"".join(x.tobytes() for x in seen) == want.astype(np.float32).tobytes()
+    assert all(x.strides[1] == x.itemsize for x in seen)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_scoring_holds_no_whole_batch(runners, n):
+    # each map item gathers its own step batch, and it is dead once head.c1
+    # has unfolded it: at most one step batch per runner is alive
+    runners(n)
+    head = fusion.build_head(16, grid=16, seed=0)
+    data = synthetic.make_separable_sequences(32, m=1, d=16, grid=16, seq_len=8)
+    whole = 32 * 8 * 16 * 16 * 16 * 4  # one (B, L, C, g, g) float32 batch
+    for _ in range(2):
+        fusion.predict_scores(head, data)  # warms each runner's arena
+    tracemalloc.start()
+    try:
+        fusion.predict_scores(head, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole / 2
 
 
 def test_training_curve_csv(tmp_path):

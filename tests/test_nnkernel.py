@@ -424,6 +424,26 @@ def test_conv_backward_returns_with_every_gradient_in_the_store(runners, kind):
     assert got[3] == got[1]
 
 
+@pytest.mark.parametrize("kind", ["conv2d", "conv_transpose2d"])
+def test_batch_one_backward_does_not_depend_on_grad_outs_memory(kind):
+    """A channel-major batch-1 grad_out reshapes to strided pixel rows; the
+    bias sum must still run in the channels-last rows' order."""
+    desc = {"conv2d": nn.conv2d("a", 3, 8, 4, s=2, p=1),
+            "conv_transpose2d": nn.conv_transpose2d("a", 3, 8, 4, s=2, p=1)}[kind]
+    store = nn.ParamStore()
+    nn.init_params([desc], store, nn.seed_rng(7))
+    rs = np.random.default_rng(7)
+    x = channels_last(rs.standard_normal((1, 3, 24, 24)).astype(np.float32))
+    y, cache = nn.forward(desc, store, x)
+    g = rs.standard_normal(y.shape).astype(np.float32)
+    got = []
+    for grad_out in (g, channels_last(g)):
+        store.zero_grads()
+        gx = nn.backward(desc, store, cache, grad_out)
+        got.append((gx.tobytes(), {name: v.tobytes() for name, v in store.grads.items()}))
+    assert got[0] == got[1]
+
+
 def test_backward_that_raises_leaves_one_runners_gradients(runners, monkeypatch):
     """A conv whose input gradient raises has already added its weight
     gradient, at every runner count, and the next backward is the clean

@@ -430,8 +430,9 @@ def test_backward_logits_is_the_step_by_step_bptt(runners, n):
     # the conv grads of each step are added last step first, as this loop does
     runners(n)
     head = fusion.build_head(12, grid=8, seed=4)
-    x, y = fusion._sequence_batch(_head_data(5, n=6))
-    logits, caches = fusion.forward_logits(head, x)
+    data = _head_data(5, n=6)
+    y = np.array([s.label for s in data], dtype=np.float64)
+    logits, caches = fusion.forward_logits(head, data)
     _, dlogits = nn.bce_with_logits(logits, y)
     head.store.zero_grads()
     fusion.backward_logits(head, caches, dlogits)
@@ -440,7 +441,7 @@ def test_backward_logits_is_the_step_by_step_bptt(runners, n):
     head.store.zero_grads()
     store = head.store
     gh = nn.backward(head.out, store, caches[2], dlogits[:, None].astype(np.float32))
-    for t in range(x.shape[1] - 1, -1, -1):
+    for t in range(len(data[0].steps) - 1, -1, -1):
         feats, conv_cache = caches[0][t]
         gx, gh = nn.backward(head.cell, store, caches[1][t], gh)
         nn.stack_backward(head.conv, store, conv_cache, gx.reshape(feats.shape),

@@ -12,7 +12,7 @@ from latentfuse.errors import (BadMagicError, DataError, NumericError,
                                TruncatedPayloadError, UsageError, VersionError)
 from latentfuse.spectral import SpectralImage
 
-from helpers import bounded, exhaustive_nearest, fd_array_error
+from helpers import bounded, channels_last, exhaustive_nearest, fd_array_error
 
 
 def small_images(n, seed=0):
@@ -409,6 +409,12 @@ def _trained_bytes(images, cfg):
     terms = np.array([(r.reconstruction, r.codebook_term, r.commitment_term)
                       for r in curve])
     return weights, terms.tobytes()
+
+
+def test_train_does_not_depend_on_the_images_memory_order():
+    images = small_images(6, seed=2)
+    cfg = vqvae.VqVaeConfig(codebook_size=32, embed_dim=16, steps=4, batch=3)
+    assert _trained_bytes(images, cfg) == _trained_bytes(channels_last(images), cfg)
 
 
 @pytest.mark.parametrize("reseed", [False, True])
