@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import threading
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -144,7 +145,7 @@ def build_head(in_channels: int, grid: int = GRID, hidden: int = HEAD_HIDDEN,
 
 
 def _map_steps(head: ClassifierHead, samples: Sequence[SequenceSample], run) -> list:
-    """run(head.conv, head.store, x_t) for each step t, through the window map.
+    """run(t, x_t) for each step t, through the window map.
 
     The batch is checked first, on the calling thread. Each map item then
     gathers its own step batch x_t, step t of every sample stacked in the
@@ -169,8 +170,7 @@ def _map_steps(head: ClassifierHead, samples: Sequence[SequenceSample], run) -> 
                          f"the head was trained on?")
     dtype = head.store.values[f"{c1.name}.w"].dtype
     return nn.map_windows(
-        lambda t: run(head.conv, head.store,
-                      np.stack([s.steps[t].tensor for s in samples], dtype=dtype)),
+        lambda t: run(t, np.stack([s.steps[t].tensor for s in samples], dtype=dtype)),
         range(seq_len))
 
 
@@ -187,15 +187,19 @@ def _recur(head: ClassifierHead, feats: Sequence[np.ndarray]):
     return logits[:, 0], cell_caches, out_cache
 
 
-def forward_logits(head: ClassifierHead, samples: Sequence[SequenceSample]):
+def forward_logits(head: ClassifierHead, samples: Sequence[SequenceSample],
+                   columns: Sequence[dict[str, np.ndarray]] | None = None):
     """Logits for a batch of equal-length sequences; also returns caches for
     backward.
 
     The conv stack does not read the recurrent state, so the L steps' convs
     run through the window map, each on the whole batch; the cell then runs
-    over the steps in order.
+    over the steps in order. Given column stores, one per step, step t's
+    convs unfold into columns[t] (nn.stack_forward), so the caches are valid
+    until the next forward into those stores; else they own fresh columns.
     """
-    convs = _map_steps(head, samples, nn.stack_forward)
+    convs = _map_steps(head, samples, lambda t, x: nn.stack_forward(
+        head.conv, head.store, x, None if columns is None else columns[t]))
     logits, cell_caches, out_cache = _recur(head, [f for f, _ in convs])
     return logits, (convs, cell_caches, out_cache)
 
@@ -246,7 +250,8 @@ def predict_scores(head: ClassifierHead, dataset: Sequence[SequenceSample],
         raise UsageError("cannot score an empty dataset")
     scores = []
     for lo in range(0, len(dataset), batch):
-        feats = _map_steps(head, dataset[lo:lo + batch], nn.stack_infer)
+        feats = _map_steps(head, dataset[lo:lo + batch],
+                           lambda t, x: nn.stack_infer(head.conv, head.store, x))
         logits, _, _ = _recur(head, feats)
         scores.append(nn.sigmoid_fn(logits.astype(np.float64)))
     return np.concatenate(scores)
@@ -266,6 +271,22 @@ class EpochStats:
     accuracy: float
 
 
+_thread = threading.local()  # .columns: this thread's head column stores
+
+
+def _column_stores(seq_len: int) -> list[dict[str, np.ndarray]]:
+    """The calling thread's column stores, at least one per step index.
+
+    They outlive a train_classifier call, as nn.thread_arena() does for
+    inference, so later batches and calls unfold into the same columns.
+    """
+    stores = getattr(_thread, "columns", None)
+    if stores is None:
+        stores = _thread.columns = []
+    stores.extend({} for _ in range(seq_len - len(stores)))
+    return stores
+
+
 def train_classifier(dataset: Sequence[SequenceSample],
                      cfg: ClassifierConfig = ClassifierConfig(),
                      head: ClassifierHead | None = None
@@ -274,6 +295,9 @@ def train_classifier(dataset: Sequence[SequenceSample],
 
     The curve holds full-dataset loss and accuracy measured after each
     epoch. Raises UsageError when the dataset contains only one class.
+    Step t of every batch unfolds its convs into the calling thread's
+    column store t; the stores are dropped on return if they hold more
+    than nn.ARENA_LIMIT bytes.
     """
     if not dataset:
         raise UsageError("empty training set")
@@ -287,28 +311,33 @@ def train_classifier(dataset: Sequence[SequenceSample],
         head = build_head(first.tensor.shape[0], first.tensor.shape[1], seed=cfg.seed)
     rng = nn.seed_rng(cfg.seed + 1)
     n = len(dataset)
+    columns = _column_stores(len(dataset[0].steps))
     curve: list[EpochStats] = []
     t = 0
-    for epoch in range(cfg.epochs):
-        perm = rng.shuffle(n)
-        for lo in range(0, n, cfg.batch):
-            chunk = [dataset[i] for i in perm[lo:lo + cfg.batch]]
-            y = np.array([s.label for s in chunk], dtype=np.float64)
-            logits, caches = forward_logits(head, chunk)
-            loss, dlogits = nn.bce_with_logits(logits, y)
-            if not np.isfinite(loss):
-                raise NumericError(f"non-finite loss in epoch {epoch}")
-            backward_logits(head, caches, dlogits)
-            t += 1
-            nn.adam_step(head.store, cfg.lr, t=t)
-        scores = predict_scores(head, dataset)
-        y_all = np.array([s.label for s in dataset], dtype=np.float64)
-        eps = 1e-12
-        full_loss = float(-np.mean(y_all * np.log(scores + eps)
-                                   + (1 - y_all) * np.log(1 - scores + eps)))
-        acc = float(np.mean((scores >= 0.5) == (y_all == 1)))
-        curve.append(EpochStats(full_loss, acc))
-        log.debug("epoch %d: loss %.4f acc %.3f", epoch, full_loss, acc)
+    try:
+        for epoch in range(cfg.epochs):
+            perm = rng.shuffle(n)
+            for lo in range(0, n, cfg.batch):
+                chunk = [dataset[i] for i in perm[lo:lo + cfg.batch]]
+                y = np.array([s.label for s in chunk], dtype=np.float64)
+                logits, caches = forward_logits(head, chunk, columns)
+                loss, dlogits = nn.bce_with_logits(logits, y)
+                if not np.isfinite(loss):
+                    raise NumericError(f"non-finite loss in epoch {epoch}")
+                backward_logits(head, caches, dlogits)
+                t += 1
+                nn.adam_step(head.store, cfg.lr, t=t)
+            scores = predict_scores(head, dataset)
+            y_all = np.array([s.label for s in dataset], dtype=np.float64)
+            eps = 1e-12
+            full_loss = float(-np.mean(y_all * np.log(scores + eps)
+                                       + (1 - y_all) * np.log(1 - scores + eps)))
+            acc = float(np.mean((scores >= 0.5) == (y_all == 1)))
+            curve.append(EpochStats(full_loss, acc))
+            log.debug("epoch %d: loss %.4f acc %.3f", epoch, full_loss, acc)
+    finally:
+        if sum(c.nbytes for store in columns for c in store.values()) > nn.ARENA_LIMIT:
+            _thread.columns = None
     return head, curve
 
 

@@ -152,7 +152,10 @@ def load_stream(path: str, schema: dict[str, str]) -> MultimodalStream:
             if schema[col] == "label" and v not in (0.0, 1.0):
                 raise DataError(f"{path}: line {line_no}: label {cell!r} in column "
                                 f"{col} is not 0 or 1")
-            if math.isfinite(v) and abs(v) > f32_max:
+            if not math.isfinite(v):
+                raise DataError(f"{path}: line {line_no}: non-finite value {cell!r} in "
+                                f"column {col}")
+            if abs(v) > f32_max:
                 raise DataError(f"{path}: line {line_no}: value {cell!r} in column "
                                 f"{col} overflows float32")
             raw[col].append(v)
@@ -258,7 +261,12 @@ def resample_uniform(channel: Channel, target_rate: float) -> Channel:
     if n == 1:
         return Channel(channel.name, target_rate, v.copy())
     ratio = target_rate / channel.rate_hz
-    m = int(np.floor((n - 1) * ratio + 1e-9)) + 1
+    length = np.floor((n - 1) * ratio + 1e-9) + 1
+    if length > 2 ** 32:  # a .lsfd stores start indices as u32
+        raise UsageError(f"channel {channel.name}: resample_hz {target_rate:g} from "
+                         f"{channel.rate_hz:g} Hz gives {length:.0f} samples, more "
+                         f"than 2**32")
+    m = int(length)
     pos = np.arange(m, dtype=np.float64) * (channel.rate_hz / target_rate)
     pos = np.clip(pos, 0.0, n - 1)
     i = np.minimum(pos.astype(np.int64), n - 2)

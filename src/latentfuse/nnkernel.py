@@ -43,7 +43,9 @@ Conventions, pinned for cross-run reproducibility:
   runs of k*C contiguous floats, and runs one (P, k*k*C) @ (k*k*C, O)
   GEMM per image straight into the (N, P, O) output, P = ho * wo. The
   block is the whole batch in training, which caches its columns, and
-  one image with an arena, so a batch adds only activations.
+  one image with an arena, so a batch adds only activations. A training
+  forward given a column store unfolds into the store's buffers, which
+  later batches reuse.
 - conv_transpose2d's forward and conv2d's input gradient are one operator,
   the conv's adjoint, run in sub-pixel form: a stride-1 conv of the
   gradient whose output channels are the s*s output phases, interleaved
@@ -569,7 +571,7 @@ def _add_weight_grad(store: ParamStore, name: str, grad_rows: np.ndarray,
 
 
 def _conv(x: np.ndarray, rows: np.ndarray, k: int, s: int, p: int, out: np.ndarray,
-          arena: Arena | None = None) -> np.ndarray:
+          arena: Arena | None = None, cols: np.ndarray | None = None) -> np.ndarray:
     """Multiply each image's k x k, stride-s, padding-p patches of x by
     rows.T into out (n, P, O), and return the last block's (b, P, k*k*c)
     columns; rows is the (O, k*k*c) weight in `_weight_rows` order.
@@ -577,12 +579,13 @@ def _conv(x: np.ndarray, rows: np.ndarray, k: int, s: int, p: int, out: np.ndarr
     The images are padded and unfolded a block at a time into one padded
     input and one column buffer, and the batched matmul runs one GEMM per
     image. Without an arena the block is the whole batch, whose columns
-    training caches. With one it is one image, in arena blocks, so an
-    inference pass holds one image's columns; the padded block is zeroed
-    once and each image overwrites only its interior.
+    training caches: in cols when given, else in a fresh array. With an
+    arena it is one image, in arena blocks, so an inference pass holds one
+    image's columns; the padded block is zeroed once and each image
+    overwrites only its interior.
     """
     n = x.shape[0] if arena is None else 1
-    xp, cols = _unfold_buffers((n,) + x.shape[1:], k, s, p, x.dtype, arena)
+    xp, cols = _unfold_buffers((n,) + x.shape[1:], k, s, p, x.dtype, arena, cols)
     for i in range(0, x.shape[0], max(n, 1)):
         _unfold(x[i:i + n], xp, cols, k, s, p)
         np.matmul(cols, rows.T, out=out[i:i + n])
@@ -594,13 +597,11 @@ def _conv(x: np.ndarray, rows: np.ndarray, k: int, s: int, p: int, out: np.ndarr
 # ---------------------------------------------------------------------------
 
 def sigmoid_fn(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Numerically stable logistic function: with e = exp(-|x|), 1/(1+e)
+    where x >= 0 and e/(1+e) elsewhere, so exp never overflows."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def _activation(shape: tuple[int, ...], dtype, arena: Arena | None = None) -> np.ndarray:
@@ -631,21 +632,41 @@ def _windows(xp: np.ndarray, k: int, s: int, ho: int, wo: int) -> np.ndarray:
 
 
 def _unfold_buffers(shape: tuple[int, ...], k: int, s: int, p: int, dtype,
-                    arena: Arena | None = None) -> tuple[np.ndarray, np.ndarray]:
+                    arena: Arena | None = None, cols: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """(xp, cols) for unfolding an (n, c, h, w) batch.
 
     xp is the zeroed padded input (n, h+2p, w+2p, c). cols is (n, P, k*k*c):
     row oy*wo + ox of image b is that output pixel's patch, column
     (i*k + j)*c + ch, so each patch is k runs of k*c contiguous floats and
-    all images' columns are a free (n*P, k*k*c) matrix. With an arena, both
-    are arena blocks.
+    all images' columns are a free (n*P, k*k*c) matrix. A given cols is
+    returned as it is. With an arena, both are arena blocks.
     """
     n, c, h, w = shape
     ho = (h + 2 * p - k) // s + 1
     wo = (w + 2 * p - k) // s + 1
     zeros = np.zeros if arena is None else arena.zeros
     empty = np.empty if arena is None else arena.take
-    return zeros((n, h + 2 * p, w + 2 * p, c), dtype), empty((n, ho * wo, k * k * c), dtype)
+    if cols is None:
+        cols = empty((n, ho * wo, k * k * c), dtype)
+    return zeros((n, h + 2 * p, w + 2 * p, c), dtype), cols
+
+
+def _stored_columns(columns: dict[str, np.ndarray], name: str, shape: tuple[int, ...],
+                    dtype) -> np.ndarray:
+    """A column buffer of `shape` (n, P, k*k*c) for conv `name`, from a
+    column store.
+
+    The store keeps one buffer per conv name. It is made anew when P, k*k*c
+    or the dtype differ or it holds fewer than n images, so it grows to the
+    largest batch seen and a smaller batch gets its leading slice. The
+    slice stays valid until the store's next batch.
+    """
+    buf = columns.get(name)
+    if (buf is None or buf.dtype != dtype or buf.shape[1:] != shape[1:]
+            or len(buf) < shape[0]):
+        buf = columns[name] = np.empty(shape, dtype)
+    return buf[:shape[0]]
 
 
 def _unfold(x: np.ndarray, xp: np.ndarray, cols: np.ndarray, k: int, s: int, p: int
@@ -751,11 +772,18 @@ def _check_image_input(desc: LayerDescriptor, x: np.ndarray) -> None:
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-def forward(desc: LayerDescriptor, store: ParamStore, x, arena: Arena | None = None):
+def forward(desc: LayerDescriptor, store: ParamStore, x, arena: Arena | None = None,
+            columns: dict[str, np.ndarray] | None = None):
     """Run one layer forward. Returns (output, cache) for the matching backward.
 
     Feed-forward kinds take a batched array. recurrent_cell takes a tuple
     (x, h) of (N, x_dim) and (N, hidden) and returns the next hidden state.
+
+    With a column store (`_stored_columns`; training only, no arena), a
+    conv2d unfolds into the store's buffer for its name instead of a fresh
+    one, and its cache holds that buffer: valid until the store's next
+    forward of the layer. residual_block passes the store to its inner
+    convs.
 
     With an arena the call is an inference step, bitwise the plain one:
     conv2d, conv_transpose2d, relu and residual_block take their scratch and
@@ -774,7 +802,9 @@ def forward(desc: LayerDescriptor, store: ParamStore, x, arena: Arena | None = N
         out = _activation((n,) + out_shape(desc, x.shape[1:]), np.result_type(w, x), arena)
         pixels = out.transpose(0, 2, 3, 1).reshape(n, -1, desc.out_channels)
         mark = None if arena is None else arena.mark()
-        cols = _conv(x, _weight_rows(w, arena), k, s, p, pixels, arena)
+        cols = None if columns is None else _stored_columns(
+            columns, desc.name, (n, pixels.shape[1], k * k * x.shape[1]), x.dtype)
+        cols = _conv(x, _weight_rows(w, arena), k, s, p, pixels, arena, cols)
         if arena is not None:
             arena.release(mark)
         pixels += b
@@ -812,7 +842,7 @@ def forward(desc: LayerDescriptor, store: ParamStore, x, arena: Arena | None = N
         h = x
         caches = []
         for d in desc.inner:
-            h, cache = forward(d, store, h, arena=arena)
+            h, cache = forward(d, store, h, arena, columns)
             caches.append(cache)
         if h.shape != x.shape:
             raise UsageError(f"residual_block {desc.name}: inner shape {h.shape} "
@@ -930,10 +960,13 @@ def backward(desc: LayerDescriptor, store: ParamStore, cache, grad_out, *,
     raise UsageError(f"unknown layer kind: {desc.kind}")
 
 
-def stack_forward(descs: Sequence[LayerDescriptor], store: ParamStore, x: np.ndarray):
+def stack_forward(descs: Sequence[LayerDescriptor], store: ParamStore, x: np.ndarray,
+                  columns: dict[str, np.ndarray] | None = None):
+    """Every layer's output in turn, and their caches for stack_backward.
+    With a column store the convs unfold into it (`forward`)."""
     caches = []
     for d in descs:
-        x, cache = forward(d, store, x)
+        x, cache = forward(d, store, x, columns=columns)
         caches.append(cache)
     return x, caches
 

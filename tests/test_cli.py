@@ -483,6 +483,8 @@ def test_exit_one_on_out_of_range_config(tmp_path, capsys, text, line):
     ([b"2,1e308,1"], None, 3),
     ([b"2,0.5,1", b"3,0.\xff5,1"], None, 4),
     ([], [b"0,0", b"\xff2,1"], 3),
+    ([b"2,inf,1"], None, 3),
+    ([b"2,nan,1"], None, 3),
 ])
 def test_ingest_hostile_csv_exits_two_naming_the_line(tmp_path, capsys, csv_lines,
                                                       label_lines, line):
@@ -499,6 +501,21 @@ def test_ingest_hostile_csv_exits_two_naming_the_line(tmp_path, capsys, csv_line
     err = capsys.readouterr().err
     assert "data error" in err
     assert f"line {line}:" in err
+
+
+def test_ingest_resample_past_the_u32_start_index_exits_one(tmp_path, capsys):
+    # 3000 rows at 64 Hz resampled to 1e12 Hz would be ~4.7e13 samples
+    csv_path = tmp_path / "stream.csv"
+    csv_path.write_text("timestamp,ecg\n" + "".join(f"{i / 64},{i % 7}\n"
+                                                      for i in range(3000)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("resample_hz=1e12\n")
+    code = main(["ingest", "--csv", str(csv_path), "--schema", "ecg=ECG",
+                 "--out", str(tmp_path / "x.lsfd"), "--config", str(cfg)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "resample_hz 1e+12 from 64 Hz gives 46859375000001 samples" in err
 
 
 def test_ingest_inline_and_file_labels_exit_one(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for latent fusion, the sequence classifier, and the metrics."""
 
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -214,6 +215,86 @@ def test_train_classifier_deterministic():
         assert np.array_equal(h1.store.values[name], h2.store.values[name])
 
 
+def _in_fresh_thread(fn):
+    """fn() on a new thread, which starts with no column stores."""
+    with ThreadPoolExecutor(1) as fresh:
+        return fresh.submit(fn).result(timeout=300)
+
+
+def _trained_bytes(head, curve) -> list:
+    return ([head.store.values[name].tobytes() for name in head.store.names()]
+            + [(s.loss, s.accuracy) for s in curve])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_training_unfolds_head_c1_into_the_same_columns(runners, monkeypatch, n):
+    # batches of 4, 4 and 2: after the first, every batch of both calls
+    # unfolds step t's head.c1 into the leading images of one buffer
+    runners(n)
+    data = synthetic.make_separable_sequences(10, m=2, d=4, grid=8, seq_len=3, seed=1)
+    cfg = fusion.ClassifierConfig(epochs=2, batch=4, seed=0)
+    c1_cols = []  # kept alive, so a freed buffer's address is never reused
+    unfold = nn._unfold
+
+    def spy(x, xp, cols, k, s, p):
+        if cols.shape[0] > 1 and cols.shape[2] == 9 * 8:  # head.c1 in training
+            c1_cols.append(cols)
+        unfold(x, xp, cols, k, s, p)
+
+    monkeypatch.setattr(nn, "_unfold", spy)
+    for _ in range(2):
+        fusion.train_classifier(data, cfg)
+    assert len(c1_cols) == 2 * 2 * 3 * 3  # calls, epochs, batches, steps
+    assert [len(c) for c in c1_cols[:9]] == [4] * 6 + [2] * 3
+    assert len({c.__array_interface__["data"][0] for c in c1_cols}) == 3
+
+
+def test_heads_of_other_shapes_train_bitwise_as_in_a_fresh_thread():
+    # 16 and 96 fused channels in turn on one thread, 21 sequences in
+    # batches of 8: each run must match the same run on a fresh thread
+    cfg = fusion.ClassifierConfig(epochs=2, batch=8, seed=1)
+    sets = [synthetic.make_separable_sequences(21, m=m, d=16, grid=16, seq_len=3, seed=9)
+            for m in (1, 6)]
+    want = [_in_fresh_thread(lambda d=d: _trained_bytes(*fusion.train_classifier(d, cfg)))
+            for d in sets]
+    got = _in_fresh_thread(lambda: [_trained_bytes(*fusion.train_classifier(d, cfg))
+                                    for d in sets + sets])
+    assert got == want + want
+
+
+def test_column_stores_are_dropped_above_the_arena_limit(monkeypatch):
+    data = synthetic.make_separable_sequences(8, m=1, d=4, grid=8, seq_len=2)
+    cfg = fusion.ClassifierConfig(epochs=1, batch=4)
+
+    def stores_after_training():
+        fusion.train_classifier(data, cfg)
+        return fusion._thread.columns
+
+    kept = _in_fresh_thread(stores_after_training)
+    assert [sorted(s) for s in kept] == [["head.c1", "head.c2"]] * 2
+    held = sum(c.nbytes for s in kept for c in s.values())
+    monkeypatch.setattr(nn, "ARENA_LIMIT", held - 1)
+    assert _in_fresh_thread(stores_after_training) is None
+
+
+def test_forward_logits_caches_survive_a_later_call():
+    head = fusion.build_head(8, grid=8, seed=0)
+    a = synthetic.make_separable_sequences(4, m=2, d=4, grid=8, seq_len=3, seed=2)
+    b = synthetic.make_separable_sequences(4, m=2, d=4, grid=8, seq_len=3, seed=3)
+    grad = np.linspace(-1.0, 1.0, 4).astype(np.float32)
+
+    def grads(interleave: bool) -> list[bytes]:
+        _, caches = fusion.forward_logits(head, a)
+        if interleave:
+            fusion.forward_logits(head, b)
+        fusion.backward_logits(head, caches, grad)
+        out = [head.store.grads[name].tobytes() for name in head.store.names()]
+        head.store.zero_grads()
+        return out
+
+    assert grads(interleave=True) == grads(interleave=False)
+
+
 def test_train_classifier_zero_epochs_keeps_init():
     data = synthetic.make_separable_sequences(4, m=1, d=4, grid=8, seq_len=2)
     head, curve = fusion.train_classifier(
@@ -287,7 +368,8 @@ def test_each_step_is_gathered_in_the_heads_dtype_and_memory_order(runners, monk
     seen = []
     stack_forward = nn.stack_forward
     monkeypatch.setattr(nn, "stack_forward",
-                        lambda d, st, x: seen.append(x) or stack_forward(d, st, x))
+                        lambda d, st, x, columns=None:
+                        seen.append(x) or stack_forward(d, st, x, columns))
     fusion.forward_logits(head, data)
     want = np.stack([np.stack([s.steps[t].tensor for s in data]) for t in range(3)])
     assert [x.dtype for x in seen] == [np.float32] * 3
