@@ -397,8 +397,8 @@ def cmd_encode(args: argparse.Namespace) -> int:
     windows, window_len = read_dataset(args.data)
     ordered = {name: windows[name] for name in sorted(windows)}
     codes = pipeline.encode_windows(
-        lambda name, images: [vqvae.quantize(z, model.codebook).indices
-                              for z in vqvae.encode(model, images)],
+        lambda name, images: list(vqvae.quantize(vqvae.encode(model, images),
+                                                 model.codebook).indices),
         ordered, cfg.spectral())
     entries = [LatentEntry(name, w.start_index, w.label, indices)
                for name, ws in ordered.items() for w, indices in zip(ws, codes[name])]

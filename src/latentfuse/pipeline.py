@@ -73,9 +73,9 @@ class UnifiedSystem:
 
     def encode(self, modality: str, images: Sequence[SpectralImage]) -> list[np.ndarray]:
         """The shared quantized latent (D, 16, 16) of each image, whatever the
-        modality: one encoder pass, then one quantize per image."""
-        return [vqvae.quantize(z, self.model.codebook).quantized
-                for z in vqvae.encode(self.model, images)]
+        modality: one encoder pass, then one nearest-code search for the batch."""
+        return list(vqvae.quantize(vqvae.encode(self.model, images),
+                                   self.model.codebook).quantized)
 
     def parameter_stores(self, modalities: tuple[str, ...]) -> list[nn.ParamStore]:
         """The single shared store, however many modalities use it."""

@@ -55,9 +55,11 @@ class Codebook:
         return self.entries.shape[1]
 
     def lookup(self, indices: np.ndarray) -> np.ndarray:
-        """The (D, h, w) tensor whose cell (i, j) is row indices[i, j], bitwise."""
-        h, w = indices.shape
-        return self.entries[indices.reshape(-1)].T.reshape(self.d, h, w)
+        """The (D, h, w) tensor whose cell (i, j) is row indices[i, j], bitwise,
+        or the (n, D, h, w) batch of an (n, h, w) index array; either one a
+        view over channels-last memory."""
+        rows = self.entries[indices.reshape(-1)].reshape(*indices.shape, self.d)
+        return np.moveaxis(rows, -1, -3)
 
 
 @dataclass
@@ -166,15 +168,20 @@ def image_batch(images: SpectralImage | Sequence[SpectralImage]) -> np.ndarray:
 def quantize(z_e: np.ndarray, codebook: Codebook) -> LatentCode:
     """Nearest codebook entry per grid cell; ties go to the lowest index.
 
-    quantized is built by table lookup, so each of its columns equals the
-    selected codebook row bitwise. The (h*w, D) rows searched are a free
-    view of a channels-last z_e, such as `encode` returns.
+    z_e is one (D, h, w) latent or an (n, D, h, w) batch of them, searched
+    in one pass; latent i of a batch gets bitwise the codes and quantized
+    tensor it gets alone, since the search is exact per cell. quantized is
+    built by table lookup, so each of its columns equals the selected
+    codebook row bitwise. The (cells, D) rows searched are a free view of a
+    channels-last z_e, such as `encode` returns.
     """
-    d, h, w = z_e.shape
+    if z_e.ndim not in (3, 4):
+        raise UsageError(f"latent must be (D, h, w) or (n, D, h, w), got shape {z_e.shape}")
+    d = z_e.shape[-3]
     if d != codebook.d:
         raise UsageError(f"latent dim {d} does not match codebook dim {codebook.d}")
-    indices = _nearest_codes(z_e.transpose(1, 2, 0).reshape(h * w, d),
-                             codebook.entries).reshape(h, w)
+    cells = np.moveaxis(z_e, -3, -1)
+    indices = _nearest_codes(cells.reshape(-1, d), codebook.entries).reshape(cells.shape[:-1])
     return LatentCode(indices, codebook.lookup(indices))
 
 
@@ -195,20 +202,22 @@ def _nearest_codes(vecs: np.ndarray, entries: np.ndarray) -> np.ndarray:
     with ties to the lowest index, i.e. what tests/helpers.exhaustive_nearest
     scans for; it is found in two passes.
 
-    1. GEMM form. s_k = |e_k|^2 - 2 v.e_k, one (N, D) x (D, K) float64
-       matmul; argmin_k s_k = argmin_k |v - e_k|^2 since |v|^2 is constant
-       per row. Take the best code b and the runner-up score s_2.
+    1. GEMM form. s_k = |e_k|^2 - 2 v.e_k, one (N, D + 1) x (D + 1, K)
+       float64 matmul of the rows [v, 1] and the codes [-2 e_k, |e_k|^2];
+       argmin_k s_k = argmin_k |v - e_k|^2 since |v|^2 is constant per row.
+       Take the best code b and the runner-up score s_2.
     2. Certified re-check. With u = 2^-53, gamma_n = n u / (1 - n u) and
        S = |v|^2 + max_k |e_k|^2, the usual dot-product bound (any summation
-       order, with or without FMA) gives
-           |s_k - (d_k - |v|^2)| <= gamma_{D+1} (|e_k|^2 + 2|v||e_k|)
-                                 <= 2 gamma_{D+1} S
-       (norm, dot, one subtraction; the factor -2 is exact), and each of
-       f_k's D terms carries three roundings before D - 1 additions of
-       nonnegative numbers, so
+       order, with or without FMA) gives, for the norm's D terms and then
+       the product's D + 1 (the factors -2 and 1 are exact),
+           |s_k - (d_k - |v|^2)| <= gamma_D |e_k|^2
+                                    + gamma_{D+1} ((1 + gamma_D)|e_k|^2 + 2|v||e_k|)
+                                 <= 3.01 gamma_{D+1} S,
+       and each of f_k's D terms carries three roundings before D - 1
+       additions of nonnegative numbers, so
            |f_k - d_k| <= gamma_{D+2} d_k <= 2 gamma_{D+2} S,
        where d_k = |v - e_k|^2 exactly. Both errors together are below
-       E = 4 gamma_{D+2} S, so if s_2 - s_b > 2E then f_k > f_b for every
+       E = 6 gamma_{D+2} S, so if s_2 - s_b > 2E then f_k > f_b for every
        k != b and b is the float64 answer. The check below uses
        8 (D + 2) eps64 S (eps64 = 2u), which is >= 2E with room for the
        rounding of S itself, plus float64's smallest normal to cover
@@ -220,26 +229,38 @@ def _nearest_codes(vecs: np.ndarray, entries: np.ndarray) -> np.ndarray:
     The inputs are converted to float64 (exactly, for float32 data); the
     float64 scores are N x K, so no N x K x D temporary is ever built.
     """
-    vecs = np.asarray(vecs, dtype=np.float64)
-    codes = np.asarray(entries, dtype=np.float64)
     n, d = vecs.shape
-    code_norms = np.einsum("kd,kd->k", codes, codes)
-    scores = vecs @ codes.T
-    scores *= -2.0
-    scores += code_norms
+    k = entries.shape[0]
+    rows = np.empty((n, d + 1))
+    rows[:, :d] = vecs
+    rows[:, d] = 1.0
+    codes = np.empty((k, d + 1))
+    codes[:, :d] = entries
+    code_norms = np.einsum("kd,kd->k", codes[:, :d], codes[:, :d])
+    codes[:, d] = code_norms
+    codes[:, :d] *= -2.0
+    scores = rows @ codes.T
     best = np.argmin(scores, axis=1)
-    rows = np.arange(n)
-    best_score = scores[rows, best]
-    scores[rows, best] = np.inf
-    gap = scores.min(axis=1) - best_score
-    scale = np.einsum("nd,nd->n", vecs, vecs) + code_norms.max()
-    bound = 8 * (d + 2) * np.finfo(np.float64).eps * scale + np.finfo(np.float64).tiny
+    # the best and runner-up scores of each row, by flat index into scores
+    at = np.arange(0, n * k, k)
+    at += best
+    best_score = scores.take(at)
+    scores.put(at, np.inf)
+    at -= best
+    at += np.argmin(scores, axis=1)
+    gap = scores.take(at)
+    gap -= best_score
+    bound = np.einsum("nd,nd->n", rows[:, :d], rows[:, :d])
+    bound += code_norms.max()
+    bound *= 8 * (d + 2) * np.finfo(np.float64).eps
+    bound += np.finfo(np.float64).tiny
     near = np.flatnonzero(~(gap > bound))
     if near.size:
-        v = vecs[near]
-        dist = np.zeros((near.size, codes.shape[0]))
+        v = rows[near]
+        table = np.asarray(entries, dtype=np.float64)
+        dist = np.zeros((near.size, k))
         for j in range(d):
-            dist += (v[:, j, None] - codes[None, :, j]) ** 2
+            dist += (v[:, j, None] - table[None, :, j]) ** 2
         best[near] = np.argmin(dist, axis=1)
     return best
 
@@ -276,8 +297,7 @@ def _quantize_batch(z_e: np.ndarray, entries: np.ndarray) -> tuple[np.ndarray, n
     are a free view of a channels-last z_e."""
     b, d, h, w = z_e.shape
     indices = _nearest_codes(z_e.transpose(0, 2, 3, 1).reshape(-1, d), entries)
-    z_q = entries[indices].reshape(b, h, w, d).transpose(0, 3, 1, 2)
-    return indices, z_q
+    return indices, Codebook(entries).lookup(indices.reshape(b, h, w))
 
 
 def _channels_last_batch(images: Sequence[np.ndarray]) -> np.ndarray:

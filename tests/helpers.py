@@ -196,6 +196,20 @@ def rows_colormap(norm: np.ndarray, table: np.ndarray) -> np.ndarray:
     return table[k] * (1.0 - f)[..., None] + table[k + 1] * f[..., None]
 
 
+def db_spectrogram_by_formula(values: np.ndarray, frame_len: int, hop: int, taper: str,
+                              floor_db: float) -> np.ndarray:
+    """Frames sliced one at a time and tapered (Hann: 0.5 - 0.5 cos(2 pi n / (N-1))),
+    a real FFT per frame row, then max(20 log10(|bin| + 1e-12), floor_db): (F, T)."""
+    x = np.asarray(values, dtype=np.float64)
+    n = np.arange(frame_len, dtype=np.float64)
+    w = (0.5 - 0.5 * np.cos(2.0 * np.pi * n / (frame_len - 1)) if taper == "hann"
+         else np.ones(frame_len))
+    frames = np.stack([x[t * hop:t * hop + frame_len] * w
+                       for t in range((len(x) - frame_len) // hop + 1)])
+    bins = np.fft.rfft(frames, axis=1).T
+    return np.maximum(20.0 * np.log10(np.abs(bins) + 1e-12), floor_db)
+
+
 def render_by_formula(mag: np.ndarray, table: np.ndarray, size: int = 128) -> np.ndarray:
     """Min-max normalize, four-gather resize, colormap, clip: (3, size, size) float32."""
     mag = np.asarray(mag, dtype=np.float64)

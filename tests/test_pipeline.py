@@ -170,6 +170,36 @@ def test_encode_windows_keeps_modalities_apart_in_window_order(runners, monkeypa
         for i in range(0, len(ws), size))
 
 
+def test_unified_encode_searches_codes_once_per_chunk(runners, monkeypatch):
+    runners(1)
+    system = _systems()["unified"]
+    cfg = pipeline.PipelineConfig(seq_len=3)
+    stream = synthetic.make_stream(n_samples=744, segment_len=300, seed=3)
+    want = pipeline.stream_to_sequences(system, stream, 6, cfg)
+    shapes = []
+    quantize = vqvae.quantize
+
+    def counted(z_e, codebook):
+        shapes.append(z_e.shape)
+        return quantize(z_e, codebook)
+
+    monkeypatch.setattr(vqvae, "quantize", counted)
+    got = pipeline.stream_to_sequences(system, stream, 6, cfg)
+    # 8 windows per modality make chunks of 3, 3 and 2
+    assert sorted(shapes) == sorted([(3, 16, 16, 16)] * 12 + [(2, 16, 16, 16)] * 6)
+    for a, b in zip(got, want):
+        for x, y in zip(a.steps, b.steps):
+            assert x.tensor.strides == y.tensor.strides
+            assert x.tensor.tobytes() == y.tensor.tobytes()
+    # a fused step has the memory order of one fused from latents quantized alone
+    derived = pipeline.derive_acc_magnitude(stream)
+    alone = fusion.fuse({m: _reference_latent("unified", system, m, slide_windows(
+        derived.channels[m], derived.labels, 128, 96)[0], cfg) for m in MODALITIES},
+        MODALITIES)
+    assert got[0].steps[0].tensor.strides == alone.tensor.strides
+    assert got[0].steps[0].tensor.tobytes() == alone.tensor.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # The window map
 # ---------------------------------------------------------------------------
@@ -325,9 +355,13 @@ def test_map_windows_reuses_threads_and_arenas(runners, n):
     all_in = threading.Barrier(n)
 
     def encode_first_waits(modality, images):
-        # the warm call: every runner takes a chunk before any goes on
+        # the warm call: every runner takes a chunk before any goes on, and
+        # first encodes a full chunk, so its arena reaches full-chunk depth
+        # even if every chunk it draws is a short one
         if threading.get_ident() not in arenas:
             arenas[threading.get_ident()] = nn.thread_arena()
+            baseline.BaselineSystem.encode(system, modality,
+                                           [images[0]] * pipeline.CHUNK_WINDOWS)
             all_in.wait(timeout=30)
         return baseline.BaselineSystem.encode(system, modality, images)
 

@@ -1,14 +1,16 @@
 """Tests for the STFT, dB scaling and colormap rendering."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from latentfuse import spectral
+from latentfuse import pipeline, spectral, synthetic
 from latentfuse.errors import NumericError, UsageError
-from latentfuse.ingest import Window
+from latentfuse.ingest import Window, slide_windows
 
-from helpers import (direct_dft, four_gather_resize, render_by_formula,
-                     rows_colormap)
+from helpers import (db_spectrogram_by_formula, direct_dft, four_gather_resize,
+                     render_by_formula, rows_colormap)
 
 
 def full_bins(b):
@@ -275,3 +277,93 @@ def test_spectral_image_monotone_in_contrast():
     b = spectral.spectral_image(Window(0, v * 2.0, 0))
     # dB shift is constant, min-max normalization removes it
     assert np.abs(a.pixels - b.pixels).max() < 1e-5
+
+
+@pytest.mark.parametrize("call", [
+    lambda: spectral.stft(np.zeros(32), frame_len=0),
+    lambda: spectral.stft(np.zeros(32), frame_len=-2),
+    lambda: spectral.taper_window("hann", 1),
+    lambda: spectral.taper_window("rect", 0),
+    lambda: spectral.render_image(np.zeros((0, 5))),
+    lambda: spectral.render_image(np.zeros(5)),
+    lambda: spectral.render_image(np.zeros((2, 3, 4))),
+    lambda: spectral.bilinear_resize(np.zeros((3, 4)), 8, 8),
+], ids=["stft-frame-len-0", "stft-frame-len-negative", "hann-taper-of-1", "rect-taper-of-0",
+        "render-empty", "render-1d", "render-3d", "resize-2d"])
+def test_spectral_stages_reject_bad_arguments_with_usage_error(call):
+    with pytest.raises(UsageError):
+        call()
+
+
+def _window_cases():
+    stream = pipeline.derive_acc_magnitude(synthetic.make_stream(n_samples=800, seed=21))
+    cases = [(w.values, spectral.SpectralConfig())
+             for m in pipeline.PERMUTATIONS[6]
+             for w in slide_windows(stream.channels[m], stream.labels, 128, 96)[::3]]
+    ecg = cases[0][0]
+    # a silent window's dB spectrogram is the floor everywhere, so it takes
+    # the constant-matrix path; a constant nonzero one still has a DC peak
+    cases += [(np.zeros(128), spectral.SpectralConfig()),
+              (np.full(128, 2.5), spectral.SpectralConfig()),
+              (ecg, spectral.SpectralConfig(taper="rect")),
+              (ecg, spectral.SpectralConfig(hop=2)),
+              (ecg, spectral.SpectralConfig(frame_len=32, floor_db=-40.0))]
+    return cases
+
+
+def test_spectral_image_matches_the_formula_chain_bitwise():
+    table = spectral.load_colormap()
+    constant = 0
+    for values, cfg in _window_cases():
+        got = spectral.spectral_image(Window(0, values, 0), cfg).pixels
+        db = db_spectrogram_by_formula(values, cfg.frame_len, cfg.hop, cfg.taper,
+                                       cfg.floor_db)
+        constant += db.min() == db.max()
+        assert _bitwise_equal(got, render_by_formula(db, table)), cfg
+    assert constant == 1
+
+
+def test_plans_are_read_only_and_shapes_interleave_as_fresh_calls():
+    rs = np.random.default_rng(15)
+    shapes = [((33, 65), 64, 1), ((17, 49), 32, 2)]
+    mags = [rs.normal(0.0, 20.0, size=shape) for shape, _, _ in shapes]
+    x = rs.standard_normal(128)
+
+    def both(i):
+        _, frame_len, hop = shapes[i]
+        return (spectral.render_image(mags[i]).pixels.tobytes(),
+                spectral.stft(x, frame_len, hop).tobytes())
+
+    fresh = []
+    for i in range(2):
+        spectral._stft_plan.cache_clear()
+        spectral._resize_plan.cache_clear()
+        fresh.append(both(i))
+    assert [both(i % 2) for i in range(4)] == fresh * 2
+
+    plans = [spectral._stft_plan(128, 64, 1, "hann"), spectral._colormap_plan(),
+             spectral._resize_plan(33, 65, 128, 128)]
+    for array in (a for plan in plans for a in plan):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array.flat[0] = 0
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def test_no_stage_writes_its_input():
+    rs = np.random.default_rng(16)
+    values = rs.standard_normal(128)
+    bins = spectral.stft(values)
+    mag = spectral.magnitude_db(bins)
+    norm = rs.uniform(-0.1, 1.1, size=(1, 33, 65))
+    calls = [(spectral.stft, values), (spectral.magnitude_db, bins),
+             (spectral.render_image, mag), (spectral.bilinear_resize, norm, 128, 128),
+             (spectral.apply_colormap, norm[0]),
+             (spectral.spectral_image, Window(0, values, 0))]
+    for fn, arg, *rest in calls:
+        before = _digest(values), _digest(bins), _digest(mag), _digest(norm)
+        fn(arg, *rest)
+        assert (_digest(values), _digest(bins), _digest(mag), _digest(norm)) == before, fn

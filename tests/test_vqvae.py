@@ -179,6 +179,39 @@ def test_quantize_batch_accepts_float64_latents():
     assert np.array_equal(z_q[0], vqvae.quantize(z[0], vqvae.Codebook(entries)).quantized)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_quantize_of_a_batch_is_each_latent_quantized_alone(dtype):
+    rs = np.random.default_rng(14)
+    # integer codes and half-integer latents: many cells tie exactly between
+    # codes, and the ties sit on both sides of every image boundary
+    entries = rs.integers(-3, 4, size=(24, 4)).astype(np.float32)
+    entries[-1] = entries[2]
+    z = (rs.integers(-6, 7, size=(5, 4, 3, 3)) / 2).astype(dtype)
+    z[:, :, 0, 0] = z[:, :, 2, 2] = (entries[5] + entries[9]) / 2
+    z = channels_last(z)
+    cb = vqvae.Codebook(entries)
+    batch = vqvae.quantize(z, cb)
+    alone = [vqvae.quantize(latent, cb) for latent in z]
+    assert batch.indices.shape == (5, 3, 3) and batch.quantized.shape == (5, 4, 3, 3)
+    for i, code in enumerate(alone):
+        assert np.array_equal(batch.indices[i], code.indices)
+        assert batch.quantized[i].dtype == code.quantized.dtype == np.float32
+        assert batch.quantized[i].strides == code.quantized.strides
+        assert batch.quantized[i].tobytes() == code.quantized.tobytes()
+    vecs = z.transpose(0, 2, 3, 1).reshape(-1, 4)
+    assert batch.indices.reshape(-1).tolist() == [exhaustive_nearest(v, entries)
+                                                  for v in vecs]
+    tied = batch.indices[:, 0, 0].tolist() + batch.indices[:, 2, 2].tolist()
+    assert tied == [5] * 10
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (16,), (1, 2, 16, 4, 4)])
+def test_quantize_rejects_a_latent_of_the_wrong_rank(shape):
+    cb = vqvae.Codebook(np.zeros((4, 16), dtype=np.float32))
+    with pytest.raises(UsageError, match=re.escape(str(shape))):
+        vqvae.quantize(np.zeros(shape), cb)
+
+
 # ---------------------------------------------------------------------------
 # Loss
 # ---------------------------------------------------------------------------
